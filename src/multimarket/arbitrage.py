@@ -4,9 +4,10 @@ On a finite tree the attainable-at-zero-cost cone is polyhedral, hence
 closed, so no-free-lunch coincides with plain no-arbitrage and both reduce
 to linear programming.  The certificate of absence is a strictly positive
 deflator orthogonal to every elementary gain of every submarket; it is
-built constructively by per-atom maximization (push mass onto one atom at a
-time, then average), and the failure of any atom's program yields an
-explicit arbitrage witness through LP duality.
+built by one max-min LP (raise a common floor t under the deflator as far as
+orthogonality and unit mean allow), and a floor that cannot rise above zero,
+or an empty feasible set, yields an explicit arbitrage witness through LP
+duality.
 
 All martingale measures, state price deflators, and weighted measure sets
 are derived from that one common deflator.
@@ -17,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import ArbitrageExists, NonPositiveWeight, NumericBreakdown
+from .errors import (
+    ArbitrageExists,
+    NonPositiveWeight,
+    NumericBreakdown,
+    certificate_failure,
+)
 from .gains import (
     GainAtom,
     SimpleStrategy,
@@ -37,28 +43,32 @@ GLOBAL = "global"
 @dataclass(frozen=True)
 class DeflatorCertificate:
     """Strictly positive deflator with unit mean, orthogonal to every gain
-    in `basis_checked`; per-atom sub-solutions witness the positivity."""
+    in `basis_checked`.  `verify` raises CertificateViolation (exact mode)
+    or NumericBreakdown (float mode) when any of the three fails."""
 
     scope: str
     xstar: Mapping[str, Num]
-    per_atom_solutions: Mapping[str, Mapping[str, Num]]
     basis_checked: tuple[GainAtom, ...]
 
     def verify(self, model: MarketModel) -> None:
         tree = model.tree
+        exact = model.exact
+        for a in tree.leaves:
+            if not self.xstar[a] > 0:
+                value = self.xstar[a]
+                raise certificate_failure(exact, value, f"deflator {value} not positive at atom {a!r}")
         mean = sum(tree.atom_probs[a] * self.xstar[a] for a in tree.leaves)
-        assert all(self.xstar[a] > 0 for a in tree.leaves), "deflator not positive"
-        if model.exact:
-            assert mean == 1, f"deflator mean {mean} != 1"
-        else:
-            assert abs(mean - 1) <= 1e-9, f"deflator mean {mean} != 1"
+        if (mean != 1) if exact else abs(mean - 1) > 1e-9:
+            raise certificate_failure(exact, mean, f"deflator mean {mean} != 1")
         for g in self.basis_checked:
             r = sum(
                 tree.atom_probs[a] * self.xstar[a] * g.payoff[k]
                 for k, a in enumerate(tree.leaves)
             )
-            ok = (r == 0) if model.exact else abs(r) <= 1e-8
-            assert ok, f"deflator not orthogonal to gain {g.submarket}/{g.node}/{g.asset}: {r}"
+            if (r != 0) if exact else abs(r) > 1e-8:
+                raise certificate_failure(
+                    exact, r, f"deflator not orthogonal to gain {g.submarket}/{g.node}/{g.asset}: {r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -176,18 +186,6 @@ def _witness_from_coeffs(
     )
 
 
-def _witness_or_fail(model, basis, coeffs, scope) -> ArbitrageWitness:
-    for candidate in (coeffs, [-c for c in coeffs]):
-        witness = _witness_from_coeffs(model, basis, candidate, scope)
-        if witness is not None:
-            return witness
-    # robust fallback: the direct arbitrage LP has a verified improving ray
-    value, witness = arbitrage_lp(model, scope)
-    if witness is None:
-        raise NumericBreakdown("arbitrage detected but no witness recovered")
-    return witness
-
-
 def arbitrage_lp(model: MarketModel, scope: str = GLOBAL):
     """The direct check: maximize total payoff mass over the zero-cost cone
     intersected with the nonnegative orthant.  Optimum 0 means no arbitrage;
@@ -218,11 +216,13 @@ def arbitrage_lp(model: MarketModel, scope: str = GLOBAL):
 
 
 def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertificate:
-    """Atom-by-atom construction: for each atom maximize the deflator's value there
-    subject to positivity, orthogonality to every gain, and unit mean; the
-    average of the maximizers is strictly positive everywhere iff no
-    arbitrage exists.  A zero optimum (or an empty feasible set) converts,
-    through the dual, into an arbitrage witness financed at zero cost.
+    """One max-min LP over the deflator x = t + s with s >= 0 and t free:
+    maximize t subject to orthogonality to every gain and unit mean.  An
+    optimum t* > 0 makes x strictly positive, hence the certificate.  At
+    t* <= 0 the duals of the gain rows are the coefficients of a zero-cost
+    strategy paying at least -t* on every atom, with mean 1 - t*; when the
+    LP is infeasible the negated Farkas entries on those rows give one
+    paying at least the unit-mean row's multiplier (> 0) everywhere.
 
     Raises ArbitrageExists carrying the witness on failure.
     """
@@ -230,37 +230,34 @@ def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertifi
     atoms = tree.leaves
     basis = scope_basis(model, scope)
     probs = [tree.atom_probs[a] for a in atoms]
-    rows = _orthogonality_rows(model, basis) + [(probs, EQ, 1)]
-    tol = 0 if model.exact else 1e-9
-    per_atom: dict[str, dict[str, Num]] = {}
-    for k, atom in enumerate(atoms):
-        objective = [0] * len(atoms)
-        objective[k] = 1
-        out = solve_lp(lp("max", objective, rows), model.exact)
-        if out.status == INFEASIBLE:
-            coeffs = [out.farkas[i] for i in range(len(basis))]
-            witness = _witness_or_fail(model, basis, coeffs, scope)
-            raise ArbitrageExists(witness)
-        if out.status != OPTIMAL:
-            raise NumericBreakdown(f"atom program returned {out.status}")
-        if out.value <= tol:
-            coeffs = [out.row_duals[i] for i in range(len(basis))]
-            witness = _witness_or_fail(model, basis, coeffs, scope)
-            raise ArbitrageExists(witness)
-        per_atom[atom] = dict(zip(atoms, out.x))
-    count = len(atoms)
-    xstar = {
-        a: sum(per_atom[b][a] for b in atoms) / count
-        for a in atoms
-    }
-    certificate = DeflatorCertificate(
-        scope=scope,
-        xstar=xstar,
-        per_atom_solutions=per_atom,
-        basis_checked=basis,
-    )
-    certificate.verify(model)
-    return certificate
+    # variables: s per atom (>= 0), then the floor t (free); x = t + s, so
+    # t's coefficient in each row is that row's sum
+    rows = [
+        (coeffs + [sum(coeffs)], rel, rhs)
+        for coeffs, rel, rhs in _orthogonality_rows(model, basis) + [(probs, EQ, 1)]
+    ]
+    objective = [0] * len(atoms) + [1]
+    bounds = [(0, None)] * len(atoms) + [(None, None)]
+    out = solve_lp(lp("max", objective, rows, bounds), model.exact)
+    if out.status == INFEASIBLE:
+        coeffs = [-y for y in out.farkas[: len(basis)]]
+    elif out.status != OPTIMAL:
+        raise NumericBreakdown(f"deflator LP returned {out.status}")
+    elif out.value <= (0 if model.exact else 1e-9):
+        coeffs = out.row_duals[: len(basis)]
+    else:
+        t = out.x[-1]
+        certificate = DeflatorCertificate(
+            scope=scope,
+            xstar={a: t + s for a, s in zip(atoms, out.x)},
+            basis_checked=basis,
+        )
+        certificate.verify(model)
+        return certificate
+    witness = _witness_from_coeffs(model, basis, coeffs, scope)
+    if witness is None:
+        raise NumericBreakdown("arbitrage detected but the witness failed verification")
+    raise ArbitrageExists(witness)
 
 
 def check_global_nfl(model: MarketModel) -> NflResult:

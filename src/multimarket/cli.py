@@ -4,7 +4,8 @@ emission.
 
 Exit codes: 0 success; 2 validation failure; 3 arbitrage found where absence
 was required (including the `arb` verdict itself, so pipelines can assert on
-it); 4 numeric breakdown (retry in rational mode).
+it); 4 numeric breakdown (retry in rational mode) or, in rational mode, a
+certificate check that failed.
 
 All reports are emitted as JSON with deterministic key order: rational
 scalars as "p/q" strings, floats rounded to 12 significant digits.
@@ -71,10 +72,16 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
+def _read_document(path: str) -> dict:
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+
+
 def _load(path: str) -> MarketModel:
-    with open(path) as handle:
-        document = json.load(handle)
-    return load_market(document)
+    return load_market(_read_document(path))
 
 
 def _with_mode(model: MarketModel, mode: str | None) -> MarketModel:
@@ -111,7 +118,6 @@ def _certificate_payload(certificate):
     return {
         "scope": certificate.scope,
         "xstar": dict(certificate.xstar),
-        "per_atom_solutions": {a: dict(v) for a, v in certificate.per_atom_solutions.items()},
         "gains_checked": len(certificate.basis_checked),
     }
 
@@ -347,8 +353,7 @@ def cmd_fra(args) -> int:
 
 
 def cmd_demo_cotrade(args) -> int:
-    with open(args.spec) as handle:
-        document = json.load(handle)
+    document = _read_document(args.spec)
     model = load_market(document)
     quotes_doc = document.get("zc_quotes")
     if not quotes_doc or len(quotes_doc.get("quotes", ())) != 2:
@@ -441,6 +446,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except NumericBreakdown as exc:
         sys.stderr.write(f"numeric breakdown: {exc}; retry with --mode rational\n")
+        return EXIT_NUMERIC
+    except CertificateViolation as exc:
+        sys.stderr.write(f"certificate violation: {exc}\n")
         return EXIT_NUMERIC
     except ArbitrageExists as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")

@@ -69,15 +69,19 @@ class GlobalArbitrage(ArbitrageExists):
     pass
 
 
-class InfeasiblePrice(MarketError):
-    """Superreplication set empty (price +inf).  Unreachable for bounded
-    claims on finite trees; kept for API symmetry."""
-
-
 class CertificateViolation(MarketError):
     def __init__(self, value, message=None):
         super().__init__(message or f"dual certificate is {value}, expected 0")
         self.value = value
+
+
+def certificate_failure(exact: bool, value, message: str) -> MarketError:
+    """The error for a failed certificate check: a CertificateViolation in
+    exact mode, where it is a genuine fault, and a NumericBreakdown in float
+    mode, where rational mode is the remedy."""
+    if exact:
+        return CertificateViolation(value, message)
+    return NumericBreakdown(message)
 
 
 class ConditionNotMet(MarketError):

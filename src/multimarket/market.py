@@ -250,6 +250,8 @@ def load_market(document: Mapping) -> MarketModel:
     rate_structure = document.get("rate_structure")
     submarkets = []
     for entry in subs_spec:
+        if not isinstance(entry, Mapping):
+            raise SchemaError(f"submarket entry {entry!r} is not a mapping")
         label = entry.get("label")
         if not label:
             raise SchemaError("submarket without label")
@@ -275,13 +277,16 @@ def load_market(document: Mapping) -> MarketModel:
 
     bound = document.get("bound_constant")
     bound_c = parse_scalar(bound, exact) if bound is not None else None
-    claims = tuple(
-        Claim(
-            label=c["label"],
-            payoff={a: parse_scalar(v, exact) for a, v in c["payoff"].items()},
+    claims = []
+    for c in document.get("claims", ()):
+        if not (isinstance(c, Mapping) and "label" in c and isinstance(c.get("payoff"), Mapping)):
+            raise SchemaError(f"claim {c!r} needs a 'label' and a 'payoff' map")
+        claims.append(
+            Claim(
+                label=c["label"],
+                payoff={a: parse_scalar(v, exact) for a, v in c["payoff"].items()},
+            )
         )
-        for c in document.get("claims", ())
-    )
     return make_model(tree, submarkets, bound_constant=bound_c, claims=claims, exact=exact)
 
 

@@ -2,9 +2,9 @@
 
 Every model carries a single numeric mode fixed at construction time.  In
 rational mode all values are `fractions.Fraction` and every comparison is
-exact (zero tolerance); in float mode values are machine floats and the
-comparisons below take an explicit tolerance.  The mode propagates from the
-input document to every LP solved downstream.
+exact (zero tolerance); in float mode values are machine floats and every
+comparison takes an explicit tolerance.  The mode propagates from the input
+document to every LP solved downstream.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from fractions import Fraction
 from typing import Union
 
 Num = Union[Fraction, float]
-
-#: default feasibility / duality-gap tolerance in float mode
-FLOAT_TOL = 1e-9
 
 
 def parse_scalar(raw, exact: bool = True) -> Num:
@@ -60,23 +57,3 @@ def scalar_to_json(value: Num):
 def format_sig12(value: Num) -> str:
     """Fixed 12-significant-digit text form used for scalar CLI output."""
     return f"{float(value):.12g}"
-
-
-def tolerance_for(exact: bool) -> Num:
-    return Fraction(0) if exact else FLOAT_TOL
-
-
-def is_zero(value: Num, tol: Num = 0) -> bool:
-    return value == 0 if tol == 0 else abs(value) <= tol
-
-
-def is_close(a: Num, b: Num, tol: Num = 0) -> bool:
-    return a == b if tol == 0 else abs(a - b) <= tol * (1 + max(abs(a), abs(b)))
-
-
-def is_nonneg(value: Num, tol: Num = 0) -> bool:
-    return value >= 0 if tol == 0 else value >= -tol
-
-
-def is_positive(value: Num, tol: Num = 0) -> bool:
-    return value > 0 if tol == 0 else value > tol

@@ -4,7 +4,7 @@ Four prices coexist because hedging can use one submarket, the cheapest
 submarket, every submarket separately, or all submarkets jointly with the
 initial wealth split between them (and no borrowing across the split).
 Every price is computed twice: a primal hedging LP and an independent dual
-program over the matching weighted measure set, with the gap asserted zero
+program over the matching weighted measure set, and the gap must be zero
 (exactly in rational mode).  Closed-form identities for one-dimensional
 submarkets, constant growth ratios, and the two-submarket case are evaluated
 against the LPs rather than assumed.
@@ -31,6 +31,7 @@ from .errors import (
     NonPositiveWeight,
     SubmarketArbitrage,
     WrongShape,
+    certificate_failure,
 )
 from .gains import (
     SimpleStrategy,
@@ -82,10 +83,8 @@ def terminal_asset_claim(model: MarketModel, label: str, asset: int = 0) -> dict
 
 def _gap(primal: Num, dual: Num, exact: bool) -> Num:
     gap = primal - dual
-    if exact:
-        assert gap == 0, f"duality gap {gap}"
-    else:
-        assert abs(gap) <= 1e-7 * (1 + abs(primal)), f"duality gap {gap}"
+    if (gap != 0) if exact else abs(gap) > 1e-7 * (1 + abs(primal)):
+        raise certificate_failure(exact, gap, f"duality gap {gap}")
     return gap
 
 
@@ -124,8 +123,8 @@ def price_submarket(model: MarketModel, claim, label: str) -> PriceReport:
 
     Primal: minimal initial capital x (of either sign) such that x units of
     numeraire growth plus some zero-cost gain dominates the claim atom-wise.
-    Dual: the weighted measure set of the submarket's own growth; the gap is
-    asserted zero.
+    Dual: the weighted measure set of the submarket's own growth; the gap
+    must be zero.
     """
     _require_submarket_nfl(model, label)
     h = _payoff_vector(model, claim)
@@ -203,7 +202,7 @@ def price_global(model: MarketModel, claim) -> PriceReport:
 
     The independent dual maximizes the claim's value over deflator-cone
     directions whose growth-weighted mass stays within every submarket's
-    budget row; the gap is asserted zero.
+    budget row; the gap must be zero.
     """
     _require_global_nfl(model)
     h = _payoff_vector(model, claim)
@@ -235,7 +234,10 @@ def price_global(model: MarketModel, claim) -> PriceReport:
     for lab in labels:
         dual_rows.append(([ratios[lab][a] for a in tree.leaves], LE, 1))
     dual_out = solve_lp(lp("max", h, dual_rows), model.exact)
-    assert dual_out.status == OPTIMAL, f"global dual LP is {dual_out.status}"
+    if dual_out.status != OPTIMAL:
+        raise certificate_failure(
+            model.exact, dual_out.status, f"global dual LP is {dual_out.status}"
+        )
     gap = _gap(price, dual_out.value, model.exact)
     cone_values = {
         a: dual_out.x[k] / probs[k] for k, a in enumerate(tree.leaves)
@@ -328,10 +330,11 @@ def dual_bounds_global(model: MarketModel, claim) -> tuple[Num, Num]:
     lower = price_fractional(model, claim, MeasureSelector.max_ratio(model).weight)
     upper = price_fractional(model, claim, MeasureSelector.min_ratio(model).weight)
     price = price_global(model, claim).price
-    if model.exact:
-        assert lower <= price <= upper, f"bounds {lower}, {upper} miss price {price}"
-    else:
-        assert lower <= price + 1e-7 and price <= upper + 1e-7
+    tol = 0 if model.exact else 1e-7
+    if not (lower <= price + tol and price <= upper + tol):
+        raise certificate_failure(
+            model.exact, price, f"bounds {lower}, {upper} miss price {price}"
+        )
     return lower, upper
 
 
@@ -480,13 +483,16 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
         rows.append((coeffs, GE, h[k]))
     bounds = [(0, None)] + [(None, None)] * len(basis)
     concentrated = solve_lp(lp("min", [1] + [0] * len(basis), rows, bounds=bounds), model.exact)
-    assert concentrated.status == OPTIMAL
+    if concentrated.status != OPTIMAL:
+        status = concentrated.status
+        raise certificate_failure(model.exact, status, f"concentrated funding LP is {status}")
     full = price_global(model, claim)
     if model.exact:
-        assert concentrated.value == price, (
-            f"concentrated funding LP {concentrated.value} != shortcut {price}"
-        )
-        assert full.price == price, f"joint LP {full.price} != shortcut {price}"
+        if concentrated.value != price:
+            value = concentrated.value
+            raise CertificateViolation(value, f"concentrated funding LP {value} != shortcut {price}")
+        if full.price != price:
+            raise CertificateViolation(full.price, f"joint LP {full.price} != shortcut {price}")
     return ConstantRatioReport(
         price=price,
         tau_max=tau_max,

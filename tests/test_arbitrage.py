@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from multimarket.arbitrage import (
+    DeflatorCertificate,
     MeasureSelector,
     arbitrage_lp,
     check_global_nfl,
@@ -12,12 +13,18 @@ from multimarket.arbitrage import (
     extract_deflator,
     martingale_measure,
     measure_from_weight,
+    scope_basis,
     state_price_deflator,
 )
-from multimarket.errors import ArbitrageExists, NonPositiveWeight
+from multimarket.errors import (
+    ArbitrageExists,
+    CertificateViolation,
+    NonPositiveWeight,
+    NumericBreakdown,
+)
 from multimarket.gains import strategy_cost, strategy_wealth, terminal_value
 from multimarket.generate import random_model
-from multimarket.market import Submarket, make_model
+from multimarket.market import Submarket, load_market, make_model, serialize_market
 from multimarket.oracle import enumerate_measure_vertices
 from multimarket.tree import build_tree, sample_stopping_time_pairs
 
@@ -75,9 +82,48 @@ def test_m2_global_certificate(m2):
     res = check_global_nfl(m2)
     assert res.ok
     assert dict(res.certificate.xstar) == {"r.0": F(2, 3), "r.1": F(4, 3)}
-    for sol in res.certificate.per_atom_solutions.values():
-        assert dict(sol) == {"r.0": F(2, 3), "r.1": F(4, 3)}
     res.certificate.verify(m2)
+
+
+def test_extract_deflator_solves_one_lp(monkeypatch):
+    import multimarket.arbitrage as arbitrage
+
+    calls = []
+    solve = arbitrage.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(arbitrage, "solve_lp", counted)
+    verdicts = set()
+    for seed in range(12):
+        model = random_model(seed, atoms=6)
+        for scope in ("global",) + tuple(model.labels):
+            calls.clear()
+            try:
+                extract_deflator(model, scope)
+                verdicts.add(True)
+            except ArbitrageExists:
+                verdicts.add(False)
+            assert len(calls) == 1, (seed, scope)
+    assert verdicts == {True, False}
+
+
+def _negative_certificate(model):
+    return DeflatorCertificate(
+        scope="global",
+        xstar={a: -1 for a in model.tree.leaves},
+        basis_checked=scope_basis(model, "global"),
+    )
+
+
+def test_negative_deflator_is_rejected(m2):
+    with pytest.raises(CertificateViolation):
+        _negative_certificate(m2).verify(m2)
+    float_m2 = load_market({**serialize_market(m2), "mode": "float"})
+    with pytest.raises(NumericBreakdown):
+        _negative_certificate(float_m2).verify(float_m2)
 
 
 def test_m1_cross_market_arbitrage(m1):

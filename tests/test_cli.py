@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from multimarket.cli import main
+from multimarket.errors import CertificateViolation
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -164,3 +165,65 @@ def test_verify_byte_identical_across_runs(m2_path):
         for _ in range(3)
     }
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arb", "SPEC"],
+        ["deflator", "SPEC"],
+        ["price", "SPEC", "--claim", "Stau1"],
+        ["verify", "SPEC"],
+        ["demo", "cotrade", "SPEC"],
+    ],
+)
+def test_missing_file_exits_2_without_traceback(argv, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    out = subprocess.run(
+        [sys.executable, "-m", "multimarket.cli", *(missing if a == "SPEC" else a for a in argv)],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "SchemaError" in out.stderr
+
+
+def test_certificate_violation_exits_4(capsys, monkeypatch, m2_path):
+    def violated(model):
+        raise CertificateViolation(-1, "deflator not positive")
+
+    monkeypatch.setattr("multimarket.cli.check_global_nfl", violated)
+    code, _ = run_cli(capsys, "verify", m2_path)
+    assert code == 4
+
+
+_VERIFY_UNDER_O = """
+import json, sys
+from multimarket.arbitrage import DeflatorCertificate, scope_basis
+from multimarket.errors import CertificateViolation
+from multimarket.market import load_market
+
+with open(sys.argv[1]) as handle:
+    model = load_market(json.load(handle))
+certificate = DeflatorCertificate(
+    scope="global",
+    xstar={a: -1 for a in model.tree.leaves},
+    basis_checked=scope_basis(model, "global"),
+)
+try:
+    certificate.verify(model)
+except CertificateViolation:
+    print("debug", __debug__, "raised")
+"""
+
+
+def test_certificate_checks_survive_optimize_flag(m2_path):
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _VERIFY_UNDER_O, m2_path],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert out.stdout == "debug False raised\n", out.stderr

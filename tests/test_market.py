@@ -133,11 +133,19 @@ def test_document_round_trip(m2_path):
     assert again.tree.atom_probs == model.tree.atom_probs
 
 
-def test_missing_sections_schema_errors():
+def test_missing_sections_schema_errors(m2_path):
     with pytest.raises(SchemaError):
         load_market({"submarkets": []})
     with pytest.raises(SchemaError):
         load_market({"tree": {"branching": [2], "atom_probs": ["1/2", "1/2"]}})
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    with pytest.raises(SchemaError):
+        load_market({**document, "submarkets": document["submarkets"] + ["tau3"]})
+    with pytest.raises(SchemaError):
+        load_market({**document, "claims": [{"payoff": {"r.0": "1", "r.1": "1"}}]})
+    with pytest.raises(SchemaError):
+        load_market({**document, "claims": [{"label": "c"}]})
 
 
 def test_scale_submarket_positive_only(m2):

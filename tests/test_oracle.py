@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from multimarket.arbitrage import MeasureSelector
+from multimarket.arbitrage import MeasureSelector, check_global_nfl, martingale_measure
 from multimarket.errors import TooLarge
 from multimarket.generate import random_claim, random_model
 from multimarket.market import Submarket, make_model
@@ -55,6 +55,29 @@ def test_vertex_sup_matches_fractional_program():
             by_vertices = oracle_sup_measure(model, selector, functional)
             by_program = price_fractional(model, h, weight)
             assert by_vertices == by_program
+
+
+def test_deflator_measures_lie_inside_the_oracle_polytope():
+    """Each martingale measure built from the extracted deflator is strictly
+    positive and prices every functional between the vertex-enumeration
+    infimum and supremum of its measure set."""
+    for seed in (0, 2, 4, 8, 10):
+        model = random_model(seed, arbitrage_free=True)
+        certificate = check_global_nfl(model).certificate
+        rng = random.Random(seed)
+        functionals = [
+            {a: F(rng.randint(-20, 20), rng.randint(1, 5)) for a in model.tree.leaves}
+            for _ in range(3)
+        ]
+        for label in model.labels:
+            q = martingale_measure(model, certificate, label)
+            assert all(q[a] > 0 for a in model.tree.leaves)
+            selector = MeasureSelector.global_ratio(model, label)
+            for f in functionals:
+                value = sum(q[a] * f[a] for a in model.tree.leaves)
+                neg = {a: -v for a, v in f.items()}
+                assert -oracle_sup_measure(model, selector, neg) <= value
+                assert value <= oracle_sup_measure(model, selector, f)
 
 
 def test_size_caps():
