@@ -1,9 +1,13 @@
 """Deterministic linear programming with verified certificates.
 
-A dense two-phase tableau simplex under Bland's smallest-index rule, run
-either over exact Fractions (reference mode, zero tolerance) or over floats
-with explicit tolerances.  Every outcome carries a certificate that is
-checked before returning:
+A two-phase tableau simplex under Bland's smallest-index rule, run either
+exactly (reference mode, zero tolerance) or over floats with explicit
+tolerances.  In exact mode every row is kept as Python-int numerators over
+one positive denominator, in lowest terms, and pivots fraction-free
+(Edmonds; Bareiss): Fractions are built only for the values a solve returns.
+Pivots update only the nonzero columns of the pivot row.  Bland's rule sees
+the same exact values as over Fractions, so the pivot path is the same.
+Every outcome carries a certificate that is checked before returning:
 
 * optimal: primal and dual solutions with complementary slackness and a
   zero (or tol-bounded) duality gap,
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DegenerateDenominator, NumericBreakdown
@@ -84,17 +89,21 @@ class LpOutcome:
 
 
 class _Standardizer:
-    """Maps a LinearProgram onto min c.u, A u = b, u >= 0 and back."""
+    """Maps a LinearProgram onto min c.u, A u = b, u >= 0 and back.
+
+    ``rows[i]`` holds [A_i | b_i] and ``cost`` holds [c | 0], stored as the
+    tableau stores them: in exact mode Python-int numerators over the
+    positive denominators ``dens[i]`` and ``cost_den``, in lowest terms; in
+    float mode the values themselves, over 1.0.
+    """
 
     def __init__(self, prog: LinearProgram, exact: bool):
         self.prog = prog
         self.exact = exact
-        zero = Fraction(0) if exact else 0.0
-        one = Fraction(1) if exact else 1.0
+        zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
         self.zero, self.one = zero, one
-        cast = (lambda v: Fraction(v)) if exact else float
+        cast = Fraction if exact else float
 
-        n = len(prog.objective)
         # user var j -> [(std col, sign)] plus a constant shift:
         #   x_j = shift_j + sum(sign * u_col)
         self.var_cols: list[list[tuple[int, int]]] = []
@@ -113,59 +122,54 @@ class _Standardizer:
                 self.var_cols.append([(ncols, 1), (ncols + 1, -1)])
                 self.shift.append(zero)
                 ncols += 2
-
-        sign = -1 if prog.sense == "max" else 1
-        c = [zero] * ncols
-        for j in range(n):
-            cj = cast(prog.objective[j]) * sign
-            for col, s in self.var_cols[j]:
-                c[col] = c[col] + cj * s
-
-        rows_a: list[list[Num]] = []
-        rhs: list[Num] = []
-        rels: list[str] = []
-        for coeffs, rel, b in prog.rows:
-            row = [zero] * ncols
-            shift_total = zero
-            for j, a in enumerate(coeffs):
-                aj = cast(a)
-                if aj == 0:
-                    continue
-                shift_total += aj * self.shift[j]
-                for col, s in self.var_cols[j]:
-                    row[col] = row[col] + aj * s
-            rows_a.append(row)
-            rhs.append(cast(b) - shift_total)
-            rels.append(rel)
-
-        # slack columns, then sign-normalize rhs >= 0
+        # slack columns follow, one per inequality row
         self.slack_col: list[int | None] = []
-        for i, rel in enumerate(rels):
+        for _, rel, _ in prog.rows:
             if rel == EQ:
                 self.slack_col.append(None)
-                continue
-            col = ncols
-            ncols += 1
-            for row in rows_a:
-                row.append(zero)
-            rows_a[i][col] = one if rel == LE else -one
-            self.slack_col.append(col)
-
-        self.flip: list[int] = []
-        for i in range(len(rows_a)):
-            if rhs[i] < 0:
-                rows_a[i] = [-v for v in rows_a[i]]
-                rhs[i] = -rhs[i]
-                self.flip.append(-1)
             else:
-                self.flip.append(1)
-
-        self.A = rows_a
-        self.b = rhs
-        self.c = c + [zero] * (ncols - len(c))
+                self.slack_col.append(ncols)
+                ncols += 1
         self.ncols = ncols
-        self.nrows = len(rows_a)
-        self.sense_sign = sign
+        self.nrows = len(prog.rows)
+        self.sense_sign = sign = -1 if prog.sense == "max" else 1
+
+        objective = []
+        for j, o in enumerate(prog.objective):
+            cj = cast(o) * sign
+            if cj:
+                objective += [(col, cj if s > 0 else -cj) for col, s in self.var_cols[j]]
+        self.cost, self.cost_den = self._stored(objective, zero)
+
+        # rows sign-normalized to b >= 0; flip records the sign applied
+        self.rows: list[list] = []
+        self.dens: list = []
+        self.flip: list[int] = []
+        for (coeffs, rel, b), slack in zip(prog.rows, self.slack_col):
+            entries = []
+            shift_total = zero
+            for j, a in enumerate(coeffs):
+                if not a:
+                    continue
+                aj = cast(a)
+                if self.shift[j]:
+                    shift_total += aj * self.shift[j]
+                entries += [(col, aj if s > 0 else -aj) for col, s in self.var_cols[j]]
+            if slack is not None:
+                entries.append((slack, one if rel == LE else -one))
+            row, den = self._stored(entries, cast(b) - shift_total)
+            self.flip.append(-1 if row[-1] < 0 else 1)
+            self.rows.append([-v for v in row] if row[-1] < 0 else row)
+            self.dens.append(den)
+
+    def _stored(self, entries, last) -> tuple[list, Num]:
+        """The stored row of width ncols + 1 with ``entries`` ((col, value)
+        pairs) and ``last`` as its final entry, with its denominator."""
+        row = [0 if self.exact else 0.0] * (self.ncols + 1)
+        for col, v in entries:
+            row[col] = v
+        row[-1] = last
+        return _int_row(row) if self.exact else (row, 1.0)
 
     def to_user_x(self, u: Sequence[Num]) -> tuple[Num, ...]:
         out = []
@@ -186,42 +190,104 @@ class _Standardizer:
         return tuple(out)
 
 
+def _int_row(values: list[Fraction]) -> tuple[list[int], int]:
+    """Numerators over the least common denominator, which leaves them in
+    lowest terms."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _value(num, den, exact: bool) -> Num:
+    """A stored entry as a number: num/den in exact mode, num in float mode
+    (where den is 1.0)."""
+    return Fraction(num, den) if exact else num
+
+
+def _lowest(row: list[int], den: int) -> int:
+    """Divide ``row`` in place and ``den`` by their common factor; returns
+    the reduced denominator."""
+    g = gcd(den, *row)
+    if g > 1:
+        row[:] = [v // g for v in row]
+        den //= g
+    return den
+
+
+def _unit_row(row: list, pc: int, exact: bool) -> tuple[list, Num]:
+    """``row`` scaled to 1 at column pc, with its denominator.  The old
+    denominator cancels, so exact mode only fixes the sign and reduces."""
+    if exact:
+        if row[pc] < 0:
+            row = [-v for v in row]
+        return row, _lowest(row, row[pc])
+    inv = 1 / row[pc]
+    return [v * inv for v in row], 1.0
+
+
+def _eliminate(row: list, den, nz, pc: int, pden, exact: bool):
+    """Subtract row[pc] times the unit row with nonzero entries ``nz`` ((col,
+    numerator) pairs over ``pden``) from ``row`` in place; returns the row's
+    new denominator.  Exact mode brings ``row`` to the common denominator
+    first: fraction-free, reduced to lowest terms after."""
+    f = row[pc]
+    if not exact:
+        for j, p in nz:
+            row[j] = row[j] - f * p
+        return den
+    g = gcd(f, pden)
+    if g != pden:
+        scale = pden // g
+        row[:] = [v * scale for v in row]
+        den *= scale
+    f //= g
+    for j, p in nz:
+        row[j] -= f * p
+    return _lowest(row, den)
+
+
 class _Tableau:
+    """The standard-form rows [A | b] under a basis, stored as
+    ``_Standardizer`` stores them: exact-mode pivots do integer arithmetic
+    only, and both modes update just the nonzero columns of the pivot row.
+    Artificial columns are never stored: no decision reads them, only the
+    basis indices at or above ``n_real`` that name them.
+    """
+
     def __init__(self, std: _Standardizer, tol):
         self.std = std
+        self.exact = std.exact
         self.tol = tol
-        self.rows = [list(r) for r in std.A]
-        self.b = list(std.b)
+        self.rows = [row[:] for row in std.rows]
+        self.dens = list(std.dens)
         self.basis: list[int] = []
         self.row_alive = [True] * std.nrows
         self.n_real = std.ncols
         self.n_art = 0
         self.pivots = 0
 
-    def _pivot(self, cost: list[Num], cost_const: list[Num], pr: int, pc: int) -> None:
+    def value(self, i: int, j: int) -> Num:
+        """Entry (i, j) of the tableau; j = -1 is the right-hand side."""
+        return _value(self.rows[i][j], self.dens[i], self.exact)
+
+    def _pivot(self, cost: list | None, cost_den: list | None, pr: int, pc: int) -> None:
+        """Make column pc basic in row pr, updating every live row and the
+        objective row ``cost`` (its constant last, its denominator held in
+        the one-element list ``cost_den``) when one is given."""
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
             raise NumericBreakdown("pivot limit exceeded")
-        piv = self.rows[pr][pc]
-        inv = 1 / piv
-        self.rows[pr] = [v * inv for v in self.rows[pr]]
-        self.b[pr] = self.b[pr] * inv
-        prow = self.rows[pr]
-        for i in range(len(self.rows)):
-            if i == pr or not self.row_alive[i]:
-                continue
-            f = self.rows[i][pc]
-            if f != 0:
-                self.rows[i] = [a - f * p for a, p in zip(self.rows[i], prow)]
-                self.b[i] = self.b[i] - f * self.b[pr]
-        f = cost[pc]
-        if f != 0:
-            for j in range(len(cost)):
-                cost[j] = cost[j] - f * prow[j]
-            cost_const[0] = cost_const[0] - f * self.b[pr]
+        exact = self.exact
+        row, pden = _unit_row(self.rows[pr], pc, exact)
+        self.rows[pr], self.dens[pr] = row, pden
+        nz = [(j, v) for j, v in enumerate(row) if v]
+        for i, other in enumerate(self.rows):
+            if i != pr and self.row_alive[i] and other[pc]:
+                self.dens[i] = _eliminate(other, self.dens[i], nz, pc, pden, exact)
+        if cost is not None and cost[pc]:
+            cost_den[0] = _eliminate(cost, cost_den[0], nz, pc, pden, exact)
         self.basis[pr] = pc
 
-    def _bland_step(self, cost: list[Num], cost_const: list[Num], allowed: int) -> int | str:
+    def _bland_step(self, cost: list, cost_den: list, allowed: int) -> int | str:
         """One Bland pivot on columns [0, allowed): returns 'optimal',
         'pivoted', or the entering column index when unbounded."""
         tol = self.tol
@@ -232,62 +298,74 @@ class _Tableau:
                 break
         if enter < 0:
             return "optimal"
-        leave, best, best_var = -1, None, None
-        for i in range(len(self.rows)):
-            if not self.row_alive[i]:
+        # min ratio b/a over a > 0, ties to the smaller basic index; a row's
+        # denominator cancels from its ratio, so exact mode compares
+        # numerator cross-products
+        leave, lead_b, lead_a = -1, None, None
+        for i, row in enumerate(self.rows):
+            a = row[enter]
+            if not (self.row_alive[i] and a > tol):
                 continue
-            a = self.rows[i][enter]
-            if a > tol:
-                ratio = self.b[i] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and self.basis[i] < best_var)
-                ):
-                    leave, best, best_var = i, ratio, self.basis[i]
+            b = row[-1]
+            if leave >= 0:
+                if self.exact:
+                    lhs, rhs = b * lead_a, lead_b * a
+                else:
+                    lhs, rhs = b / a, lead_b / lead_a
+                if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[leave]):
+                    continue
+            leave, lead_b, lead_a = i, b, a
         if leave < 0:
             return enter
-        self._pivot(cost, cost_const, leave, enter)
+        self._pivot(cost, cost_den, leave, enter)
         return "pivoted"
+
+    def _optimize(self, cost: list, cost_den: list) -> int | None:
+        """Bland pivots on the real columns until optimal (None) or until a
+        column enters with no leaving row (returned)."""
+        while True:
+            step = self._bland_step(cost, cost_den, self.n_real)
+            if step == "optimal":
+                return None
+            if step != "pivoted":
+                return step
 
     def phase1(self) -> Num:
         """Install a basic feasible solution; returns the artificial residue."""
         std = self.std
-        zero = std.zero
         need_art = []
         self.basis = [-1] * std.nrows
         for i in range(std.nrows):
             col = std.slack_col[i]
-            if col is not None and self.rows[i][col] == 1:
+            if col is not None and self.rows[i][col] == self.dens[i]:
                 self.basis[i] = col
             else:
                 need_art.append(i)
         self.n_art = len(need_art)
         if not self.n_art:
-            return zero
-        width = self.n_real + self.n_art
-        for row in self.rows:
-            row.extend([zero] * self.n_art)
+            return std.zero
         for k, i in enumerate(need_art):
-            self.rows[i][self.n_real + k] = std.one
             self.basis[i] = self.n_real + k
-        cost = [zero] * width
-        const = [zero]
-        for k in range(self.n_art):
-            cost[self.n_real + k] = std.one
-        for i in need_art:  # price out the artificial basis
-            for j in range(width):
-                cost[j] = cost[j] - self.rows[i][j]
-            const[0] = const[0] - self.b[i]
-        while True:
-            step = self._bland_step(cost, const, self.n_real)
-            if step == "optimal":
-                return -const[0]
-            if step != "pivoted":
-                raise NumericBreakdown("phase-1 objective unbounded")
+        # the artificial objective, priced out: minus the sum of their rows
+        if self.exact:
+            den = lcm(*(self.dens[i] for i in need_art))
+            cost = [0] * (self.n_real + 1)
+            for i in need_art:
+                scale = den // self.dens[i]
+                for j, v in enumerate(self.rows[i]):
+                    cost[j] -= scale * v
+            cost_den = [_lowest(cost, den)]
+        else:
+            cost = [0.0] * (self.n_real + 1)
+            for i in need_art:
+                for j, v in enumerate(self.rows[i]):
+                    cost[j] = cost[j] - v
+            cost_den = [1.0]
+        if self._optimize(cost, cost_den) is not None:
+            raise NumericBreakdown("phase-1 objective unbounded")
+        return _value(-cost[-1], cost_den[0], self.exact)
 
     def drive_out_artificials(self) -> None:
-        zero = self.std.zero
         for i in range(len(self.rows)):
             if not self.row_alive[i] or self.basis[i] < self.n_real:
                 continue
@@ -297,52 +375,41 @@ class _Tableau:
                     pivot_col = j
                     break
             if pivot_col >= 0:
-                dummy = [zero] * len(self.rows[i])
-                self._pivot(dummy, [zero], i, pivot_col)
+                self._pivot(None, None, i, pivot_col)
             else:
                 self.row_alive[i] = False  # redundant row
 
     def phase2(self) -> int | None:
         """Optimize the real objective; returns an entering column index if
         unbounded, else None."""
-        std = self.std
-        zero = std.zero
-        width = len(self.rows[0]) if self.rows else self.n_real
-        cost = list(std.c) + [zero] * (width - self.n_real)
-        const = [zero]
-        for i in range(len(self.rows)):  # price out the current basis
-            if not self.row_alive[i]:
-                continue
-            f = cost[self.basis[i]]
-            if f != 0:
-                prow = self.rows[i]
-                for j in range(width):
-                    cost[j] = cost[j] - f * prow[j]
-                const[0] = const[0] - f * self.b[i]
-        while True:
-            step = self._bland_step(cost, const, self.n_real)
-            if step == "optimal":
-                return None
-            if step != "pivoted":
-                return step
+        cost, den = self.std.cost[:], self.std.cost_den
+        for i, row in enumerate(self.rows):  # price out the current basis
+            if self.row_alive[i] and cost[self.basis[i]]:
+                nz = [(j, v) for j, v in enumerate(row) if v]
+                den = _eliminate(cost, den, nz, self.basis[i], self.dens[i], self.exact)
+        return self._optimize(cost, [den])
 
 
-def _solve_square(matrix: list[list[Num]], rhs: list[Num], tol) -> list[Num] | None:
-    """Gauss-Jordan with partial pivoting; None if singular."""
+def _solve_square(matrix: list[list[Num]], rhs: list[Num], tol, exact: bool) -> list[Num] | None:
+    """Gauss-Jordan with partial pivoting; None if singular.  Exact mode
+    pivots on integer rows as the tableau does; float mode on full rows."""
     n = len(matrix)
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    dens = [1] * n
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         if abs(a[piv][col]) <= tol:
             return None
         a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        dens[col], dens[piv] = dens[piv], dens[col]
+        a[col], dens[col] = _unit_row(a[col], col, exact)
+        # float mode updates every column, zeros too: the duals it returns
+        # keep the signs of their zeros
+        nz = [(j, v) for j, v in enumerate(a[col]) if v or not exact]
         for r in range(n):
             if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+                dens[r] = _eliminate(a[r], dens[r], nz, col, dens[col], exact)
+    return [_value(a[i][n], dens[i], exact) for i in range(n)]
 
 
 def _dot(a, b):
@@ -357,10 +424,9 @@ def solve_lp(prog: LinearProgram, exact: bool = True, tol: float = 1e-9) -> LpOu
     return.  Float mode raises NumericBreakdown when verification fails."""
     std = _Standardizer(prog, exact)
     zero = std.zero
-    eff_tol = zero if exact else tol
-    tab = _Tableau(std, eff_tol)
+    tab = _Tableau(std, 0 if exact else tol)
     residue = tab.phase1()
-    feas_tol = zero if exact else tol * (1 + max((abs(v) for v in std.b), default=0))
+    feas_tol = 0 if exact else tol * (1 + max((abs(row[-1]) for row in std.rows), default=0))
     if residue > feas_tol:
         y = _dual_from_basis(std, tab, phase1=True)
         if y is None:
@@ -376,7 +442,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True, tol: float = 1e-9) -> LpOu
         ray_u[unbounded_col] = std.one
         for i in range(len(tab.rows)):
             if tab.row_alive[i] and tab.basis[i] < std.ncols:
-                ray_u[tab.basis[i]] = -tab.rows[i][unbounded_col]
+                ray_u[tab.basis[i]] = -tab.value(i, unbounded_col)
         ray = std.to_user_dir(ray_u)
         _verify_ray(prog, ray, exact, tol)
         return LpOutcome(status=UNBOUNDED, ray=ray)
@@ -384,7 +450,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True, tol: float = 1e-9) -> LpOu
     u = [zero] * std.ncols
     for i in range(len(tab.rows)):
         if tab.row_alive[i] and tab.basis[i] < std.ncols:
-            u[tab.basis[i]] = tab.b[i]
+            u[tab.basis[i]] = tab.value(i, -1)
     x = std.to_user_x(u)
     value = _dot(prog.objective, x)
     y = _dual_from_basis(std, tab, phase1=False)
@@ -396,45 +462,64 @@ def solve_lp(prog: LinearProgram, exact: bool = True, tol: float = 1e-9) -> LpOu
 
 
 def _dual_from_basis(std: _Standardizer, tab: _Tableau, phase1: bool):
-    """Solve B^T y = c_B over the live rows against the original matrix."""
+    """Solve B^T y = c_B over the live rows against the original matrix.
+
+    On the stored rows this reads N^T w = C_B, where N holds the rows'
+    numerators, C the objective's, and y_i = w_i d_i / d_c for the row
+    denominators d_i and the objective's d_c (1 in phase 1, where c_B picks
+    the artificials); exact mode solves it in integers.
+    """
     live = [i for i in range(std.nrows) if tab.row_alive[i]]
     n = len(live)
-    bt_rows: list[list[Num]] = []  # one row per basic column: A[live, col]^T
+    zero, one = (0, 1) if std.exact else (0.0, 1.0)
+    bt_rows: list[list[Num]] = []  # one row per basic column: N[live, col]^T
     c_b: list[Num] = []
     for pos, i in enumerate(live):
         col_idx = tab.basis[i]
         if col_idx < std.ncols:
-            bt_rows.append([std.A[r][col_idx] for r in live])
-            c_b.append(std.zero if phase1 else std.c[col_idx])
+            bt_rows.append([std.rows[r][col_idx] for r in live])
+            c_b.append(zero if phase1 else std.cost[col_idx])
         else:
-            unit = [std.zero] * n
-            unit[pos] = std.one
+            unit = [zero] * n
+            unit[pos] = std.dens[i]
             bt_rows.append(unit)
-            c_b.append(std.one if phase1 else std.zero)
-    y_live = _solve_square(bt_rows, c_b, tab.tol)
-    if y_live is None:
+            c_b.append(one if phase1 else zero)
+    w = _solve_square(bt_rows, c_b, tab.tol, std.exact)
+    if w is None:
         return None
+    d_c = 1 if phase1 else std.cost_den
     y = [std.zero] * std.nrows
     for pos, i in enumerate(live):
-        y[i] = y_live[pos]
+        y[i] = w[pos] * std.dens[i] / d_c if std.exact else w[pos]
     return y
 
 
 def _verify_optimal(std: _Standardizer, u, y, exact, tol) -> None:
-    scale = 1 + max((abs(v) for v in std.b), default=0)
-    t = 0 if exact else tol * scale
-    for i in range(std.nrows):
-        lhs = _dot(std.A[i], u)
-        if abs(lhs - std.b[i]) > t:
-            raise NumericBreakdown(f"primal residual {lhs - std.b[i]} on row {i}")
-    cols = range(std.ncols)
-    for j in cols:
-        if u[j] < -t:
+    """A u = b, u >= 0, c - A^T y >= 0 and complementary slackness, against
+    the standardizer's rows.  Exact mode brings u and y_i / d_i to integers
+    over common denominators, so each test compares the sign of an integer
+    that is a positive multiple of the quantity it checks."""
+    if exact:
+        t = 0
+        u_num, u_den = _int_row(u)
+        z, z_den = _int_row([yi / d for yi, d in zip(y, std.dens)])
+    else:
+        t = tol * (1 + max((abs(row[-1]) for row in std.rows), default=0))
+        u_num, u_den, z, z_den = u, 1.0, y, 1.0
+    for i, row in enumerate(std.rows):
+        residual = _dot(row, u_num) - row[-1] * u_den
+        if abs(residual) > t:
+            shown = _value(residual, std.dens[i] * u_den, exact)
+            raise NumericBreakdown(f"primal residual {shown} on row {i}")
+    for j in range(std.ncols):
+        if u_num[j] < -t:
             raise NumericBreakdown(f"negative basic value u[{j}]={u[j]}")
-        reduced = std.c[j] - _dot([std.A[i][j] for i in range(std.nrows)], y)
-        if reduced < -(0 if exact else tol * (1 + abs(std.c[j]))):
-            raise NumericBreakdown(f"dual infeasible: reduced cost {reduced} at col {j}")
-        if exact and u[j] > 0 and reduced != 0:
+        cj = std.cost[j]
+        reduced = cj * z_den - std.cost_den * _dot([row[j] for row in std.rows], z)
+        if reduced < -(0 if exact else tol * (1 + abs(cj))):
+            shown = _value(reduced, std.cost_den * z_den, exact)
+            raise NumericBreakdown(f"dual infeasible: reduced cost {shown} at col {j}")
+        if exact and u_num[j] > 0 and reduced != 0:
             raise NumericBreakdown("complementary slackness violated")
 
 

@@ -31,6 +31,7 @@ from .errors import (
     NonPositiveBond,
     QuotesEqual,
     SchemaError,
+    certificate_failure,
 )
 from .gains import complete_self_financing, strategy_cost, terminal_value
 from .market import MarketModel, Submarket, make_model
@@ -148,7 +149,8 @@ class CommonMeasureResult:
 def common_measure_check(model: MarketModel, certificate: DeflatorCertificate) -> CommonMeasureResult:
     """Build every tenor's risk-neutral measure from the one deflator and
     compare them atom by atom.  Deterministic numeraire growth forces a
-    common measure; that implication is asserted, not just reported."""
+    common measure; that implication is checked (it raises), not just
+    reported."""
     tree = model.tree
     measures = {
         sub.label: martingale_measure(model, certificate, sub.label)
@@ -168,8 +170,10 @@ def common_measure_check(model: MarketModel, certificate: DeflatorCertificate) -
     deterministic = all(
         len(set(model.numeraire_ratio(s.label).values())) == 1 for s in model.submarkets
     )
-    if deterministic:
-        assert common, "deterministic numeraire growth must give a common measure"
+    if deterministic and not common:
+        raise certificate_failure(
+            model.exact, max_tv, "deterministic numeraire growth must give a common measure"
+        )
     return CommonMeasureResult(common=common, measures=measures, max_tv_distance=max_tv)
 
 
@@ -244,15 +248,22 @@ def cotrade_arbitrage_demo(
         exact=tree.exact,
     )
     merged_result = check_global_nfl(merged)
-    assert not merged_result.ok, "co-traded bonds at unequal prices must admit arbitrage"
+    if merged_result.ok:
+        raise certificate_failure(
+            merged.exact, merged_result.ok, "co-traded bonds at unequal prices must admit arbitrage"
+        )
 
     # explicit buy-cheap / sell-rich lock-in, held to maturity
     hold = {"cotraded": {n: (1,) for n in tree.nonterminal()}}
     strategy = complete_self_financing(merged, {}, hold)
     payoff = terminal_value(merged, {}, hold)
     costs = strategy_cost(merged, strategy)
-    assert all(c == 0 for c in costs.values())
-    assert all(v > 0 for v in payoff.values())
+    if any(c != 0 for c in costs.values()):
+        raise certificate_failure(merged.exact, costs, "lock-in strategy must cost nothing")
+    if not all(v > 0 for v in payoff.values()):
+        raise certificate_failure(
+            merged.exact, payoff, "lock-in payoff must be positive on every atom"
+        )
     witness = ArbitrageWitness(
         scope="global",
         strategy=strategy,
@@ -279,7 +290,10 @@ def cotrade_arbitrage_demo(
         exact=tree.exact,
     )
     split_result = check_global_nfl(split)
-    assert split_result.ok, "split bonds must be jointly arbitrage free"
+    if not split_result.ok:
+        raise certificate_failure(
+            split.exact, split_result.ok, "split bonds must be jointly arbitrage free"
+        )
 
     gap = min(payoff.values())
     hedge_ratio = cheap.price / rich.price

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .errors import SchemaError
+
 Num = Union[Fraction, float]
 
 
@@ -21,9 +23,10 @@ def parse_scalar(raw, exact: bool = True) -> Num:
     Strings are treated as exact: ``"3/4"`` and ``"0.75"`` both give the same
     Fraction.  Ints are exact.  Floats are only exact in the binary sense and
     force float mode unless the caller insists on rational conversion.
+    Anything else raises SchemaError.
     """
     if isinstance(raw, bool):
-        raise ValueError(f"boolean is not a number: {raw!r}")
+        raise SchemaError(f"boolean is not a number: {raw!r}")
     if isinstance(raw, Fraction):
         value: Num = raw
     elif isinstance(raw, int):
@@ -34,9 +37,9 @@ def parse_scalar(raw, exact: bool = True) -> Num:
         try:
             value = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse number {raw!r}") from exc
+            raise SchemaError(f"cannot parse number {raw!r}") from exc
     else:
-        raise ValueError(f"cannot parse number {raw!r}")
+        raise SchemaError(f"cannot parse number {raw!r}")
     if exact:
         return value if isinstance(value, Fraction) else Fraction(value)
     return float(value)

@@ -227,3 +227,32 @@ def test_certificate_checks_survive_optimize_flag(m2_path):
         env=_subprocess_env(),
     )
     assert out.stdout == "debug False raised\n", out.stderr
+
+
+def _run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "multimarket.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+
+
+def test_unparseable_number_in_document_exits_2(m2_path, tmp_path):
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    first = next(iter(document["tree"]["atom_probs"]))
+    document["tree"]["atom_probs"][first] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    out = _run_cli("arb", str(bad))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "SchemaError" in out.stderr
+
+
+def test_unparseable_fra_argument_exits_2():
+    out = _run_cli("fra", "--bi", "x", "--bm", "1", "--i", "0", "--m", "1")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "SchemaError" in out.stderr

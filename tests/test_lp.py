@@ -1,11 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multimarket.errors import DegenerateDenominator
+from multimarket import arbitrage, gains, pricing
+from multimarket import lp as lp_module
+from multimarket.errors import DegenerateDenominator, MarketError
+from multimarket.generate import random_claim, random_model
+from multimarket.market import load_market, serialize_market
 from multimarket.lp import (
     GE,
     INFEASIBLE,
@@ -177,3 +183,120 @@ def test_float_and_exact_modes_agree_on_random_programs():
         assert approx.status == exact.status, seed
         if exact.status == OPTIMAL:
             assert abs(approx.value - float(exact.value)) < 1e-7, seed
+
+
+def test_coprime_denominators_hand_checked():
+    # max (x1 + x2)/3 st x1/7 + x2/11 <= 1, x1/11 + x2/3 <= 1: both rows bind
+    # at 11 x1 + 7 x2 = 77, 3 x1 + 11 x2 = 33; the duals solve
+    # y1/7 + y2/11 = 1/3, y1/11 + y2/3 = 1/3.
+    rows = [([F(1, 7), F(1, 11)], LE, 1), ([F(1, 11), F(1, 3)], LE, 1)]
+    out = solve_lp(lp("max", [F(1, 3), F(1, 3)], rows))
+    assert out.status == OPTIMAL
+    assert out.x == (F(154, 25), F(33, 25))
+    assert out.value == F(187, 75)
+    assert out.row_duals == (F(154, 75), F(11, 25))
+    assert sum(d * r for d, r in zip(out.row_duals, (1, 1))) == out.value
+
+
+def test_exact_pivots_keep_integer_rows_in_lowest_terms(monkeypatch):
+    original = lp_module._Tableau._pivot
+    states = []
+
+    def checked(self, cost, cost_den, pr, pc):
+        original(self, cost, cost_den, pr, pc)
+        live = zip(self.rows, self.dens, self.row_alive)
+        rows = [(row, den) for row, den, alive in live if alive]
+        if cost is not None:
+            rows.append((cost, cost_den[0]))
+        for row, den in rows:
+            states.append(type(den) is int and den > 0 and gcd(den, *row) == 1)
+            states.append(all(type(v) is int for v in row))
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", checked)
+    rows = [([F(1, 7), F(1, 11), 1], "==", F(5, 3)), ([F(1, 11), F(1, 3), F(-2, 9)], GE, F(1, 2))]
+    out = solve_lp(lp("min", [F(1, 3), F(1, 7), F(1, 11)], rows))
+    assert out.status == OPTIMAL
+    assert states and all(states)
+
+
+# SHA-256 of repr(LpOutcome) and repr(FractionalOutcome), in call order, over
+# every solve made below, in both numeric modes. A different digest means a
+# pivot path or an output changed.
+OUTCOME_DIGEST = "08028a5b766fd261af634d7a998fcfa97e360dac3afca81531a6cb15db0ed774"
+
+
+def test_outcome_digest(monkeypatch):
+    digest = hashlib.sha256()
+
+    def recorded(solve):
+        def wrapper(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            digest.update(repr(out).encode())
+            return out
+
+        return wrapper
+
+    solve = recorded(lp_module.solve_lp)
+    for module in (lp_module, arbitrage, gains, pricing):
+        monkeypatch.setattr(module, "solve_lp", solve)
+    monkeypatch.setattr(pricing, "solve_fractional", recorded(lp_module.solve_fractional))
+
+    for seed in range(30):
+        base = random_model(seed)
+        claim = random_claim(random.Random(seed), base)
+        document = serialize_market(base)
+        document["claims"] = [{"label": "H", "payoff": {a: str(v) for a, v in claim.items()}}]
+        for mode in ("rational", "float"):
+            model = load_market({**document, "mode": mode})
+            h = model.claim("H")
+            calls = [
+                lambda: arbitrage.check_global_nfl(model),
+                lambda: pricing.price_global(model, h),
+            ]
+            calls += [lambda s=s: pricing.price_submarket(model, h, s) for s in model.labels]
+            for call in calls:
+                try:
+                    call()
+                except MarketError as exc:
+                    digest.update(type(exc).__name__.encode())
+    assert digest.hexdigest() == OUTCOME_DIGEST
+
+
+# The same pin over seeded random programs in both modes: every status, free,
+# shifted and mirrored variables, and coefficients with small denominators.
+PROGRAM_DIGEST = "06ce6801c59836f1867244b63d8652e09cf1dc7a5b51149ffa9c922961b288aa"
+
+
+def test_random_program_digest():
+    digest = hashlib.sha256()
+    for seed in range(1000):
+        rng = random.Random(seed)
+        nvars, nrows = rng.randint(1, 6), rng.randint(1, 6)
+
+        def num():
+            return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+
+        rows = [
+            (
+                [num() if rng.random() < 0.7 else 0 for _ in range(nvars)],
+                rng.choice([LE, GE, "=="]),
+                num(),
+            )
+            for _ in range(nrows)
+        ]
+        objective = [num() for _ in range(nvars)]
+        bounds = [
+            rng.choice([(0, None), (None, None), (None, num()), (num(), None)])
+            for _ in range(nvars)
+        ]
+        sense = rng.choice(["min", "max"])
+        for exact in (True, False):
+            cast = F if exact else float
+            prog = lp(
+                sense,
+                [cast(v) for v in objective],
+                [([cast(v) for v in r], rel, cast(b)) for r, rel, b in rows],
+                [tuple(None if v is None else cast(v) for v in pair) for pair in bounds],
+            )
+            digest.update(repr(solve_lp(prog, exact)).encode())
+    assert digest.hexdigest() == PROGRAM_DIGEST

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -157,3 +160,32 @@ def test_cotrade_random_quote_pairs():
         assert not demo.merged_nfl_ok
         assert demo.split_nfl_ok
         assert all(v > 0 for v in demo.merged_witness.payoff.values())
+
+
+_COTRADE_UNDER_O = """
+from fractions import Fraction as F
+from multimarket import multicurve
+from multimarket.arbitrage import NflResult
+from multimarket.errors import CertificateViolation
+from multimarket.tree import build_tree
+
+# a checker that finds no arbitrage in the merged market
+multicurve.check_global_nfl = lambda model: NflResult(ok=True)
+tree = build_tree([2], ["1/2", "1/2"])
+try:
+    multicurve.cotrade_arbitrage_demo(
+        multicurve.ZcQuote("t3m", F(97, 100)), multicurve.ZcQuote("t6m", F(96, 100)), tree
+    )
+except CertificateViolation:
+    print("debug", __debug__, "raised")
+"""
+
+
+def test_cotrade_checks_survive_optimize_flag():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _COTRADE_UNDER_O], capture_output=True, text=True, env=env
+    )
+    assert out.stdout == "debug False raised\n", out.stderr
