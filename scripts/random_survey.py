@@ -16,6 +16,13 @@ from multimarket.generate import random_claim, random_model
 from multimarket.pricing import price_global, price_lower, price_upper
 
 
+def fail(message):
+    """Report a failed check on stderr and exit 1; unlike assert, this
+    survives python -O."""
+    print(message, file=sys.stderr)
+    sys.exit(1)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--models", type=int, default=120)
@@ -31,7 +38,8 @@ def main():
         result = check_global_nfl(model)
         lp_value, _ = arbitrage_lp(model)
         agree = result.ok == (lp_value == 0 if lp_value is not None else False)
-        assert agree, f"seed {seed}: certificate route disagrees with the direct LP"
+        if not agree:
+            fail(f"seed {seed}: certificate route disagrees with the direct LP")
         if not result.ok:
             witnesses += 1
             continue
@@ -40,10 +48,12 @@ def main():
         for _ in range(args.claims):
             h = random_claim(rng, model)
             joint = price_global(model, h)
-            assert joint.duality_gap == 0
+            if joint.duality_gap != 0:
+                fail(f"seed {seed}: joint duality gap {joint.duality_gap}")
             lo = price_lower(model, h).price
             hi = price_upper(model, h).price
-            assert joint.price <= lo <= hi
+            if not joint.price <= lo <= hi:
+                fail(f"seed {seed}: prices out of order: {joint.price}, {lo}, {hi}")
             if joint.price < lo < hi:
                 strict_orderings += 1
             elif joint.price == lo == hi:

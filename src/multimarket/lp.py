@@ -15,9 +15,9 @@ Every outcome carries a certificate that is checked before returning:
   point within the variable bounds can satisfy,
 * unbounded: a feasible improving ray.
 
-Also hosts the linear-fractional solve (ratio of two linear functionals over
-a polyhedral cone) via the normalization substitution that turns it into a
-plain LP.
+Also hosts the linear-fractional program (ratio of two linear functionals
+over a polyhedral cone) and the normalization slice that makes it one plain
+LP.
 """
 
 from __future__ import annotations
@@ -586,6 +586,19 @@ class FractionalOutcome:
     witness: tuple[Num, ...] | None = None
 
 
+def fractional_program(numerator, denominator, cone_rows, sense="max") -> LinearProgram:
+    """The ratio num(X)/den(X) over {X >= 0, homogeneous cone rows} as a
+    plain LP: the ratio is constant along rays of the cone, so optimize num
+    over the normalized slice den(X) = 1, which is the last row."""
+    n = len(numerator)
+    for coeffs, _, rhs in cone_rows:
+        if rhs != 0:
+            raise ValueError("cone rows must be homogeneous (rhs 0)")
+        if len(coeffs) != n:
+            raise ValueError("cone row dimension mismatch")
+    return lp(sense, numerator, list(cone_rows) + [(denominator, EQ, 1)])
+
+
 def solve_fractional(
     numerator: Sequence[Num],
     denominator: Sequence[Num],
@@ -594,28 +607,13 @@ def solve_fractional(
     exact: bool = True,
     tol: float = 1e-9,
 ) -> FractionalOutcome:
-    """Optimize num(X)/den(X) over {X >= 0, homogeneous cone rows}.
-
-    Uses the normalization substitution den(Y) = 1: the ratio is constant
-    along rays of the cone, so optimizing num over the normalized slice
-    solves the fractional program; the witness returned is the normalized Y.
-    Requires the denominator to be positive somewhere on the cone (checked
-    by an auxiliary LP); raises DegenerateDenominator otherwise.
-    """
-    n = len(numerator)
-    for coeffs, _, rhs in cone_rows:
-        if rhs != 0:
-            raise ValueError("cone rows must be homogeneous (rhs 0)")
-        if len(coeffs) != n:
-            raise ValueError("cone row dimension mismatch")
-    aux = lp("max", denominator, list(cone_rows) + [(denominator, LE, 1)])
-    aux_out = solve_lp(aux, exact, tol)
-    if aux_out.status != OPTIMAL or not aux_out.value > (0 if exact else tol):
+    """Optimize the ratio program of `fractional_program`; the witness is
+    the normalized X.  The cone rows are homogeneous, so the slice is empty
+    exactly when the denominator is positive nowhere on the cone: that
+    raises DegenerateDenominator."""
+    out = solve_lp(fractional_program(numerator, denominator, cone_rows, sense), exact, tol)
+    if out.status == INFEASIBLE:
         raise DegenerateDenominator("denominator vanishes on the whole cone")
-    main = lp(sense, numerator, list(cone_rows) + [(denominator, EQ, 1)])
-    out = solve_lp(main, exact, tol)
     if out.status == UNBOUNDED:
         return FractionalOutcome(status=UNBOUNDED)
-    if out.status != OPTIMAL:
-        raise DegenerateDenominator("normalized slice is empty")
     return FractionalOutcome(status=OPTIMAL, value=out.value, witness=out.x)

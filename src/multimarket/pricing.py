@@ -3,11 +3,12 @@
 Four prices coexist because hedging can use one submarket, the cheapest
 submarket, every submarket separately, or all submarkets jointly with the
 initial wealth split between them (and no borrowing across the split).
-Every price is computed twice: a primal hedging LP and an independent dual
-program over the matching weighted measure set, and the gap must be zero
-(exactly in rational mode).  Closed-form identities for one-dimensional
-submarkets, constant growth ratios, and the two-submarket case are evaluated
-against the LPs rather than assumed.
+Every price solves one LP, over the matching weighted measure set, and reads
+the hedge from its row duals; a check that uses no LP code then proves both
+sides: the hedge dominates the claim, the witness lies in the measure set,
+and the gap is zero (exactly in rational mode).  Closed-form identities for
+one-dimensional submarkets, constant growth ratios, and the two-submarket
+case are evaluated against the LPs rather than assumed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .arbitrage import (
     GLOBAL,
     MeasureSelector,
     check_global_nfl,
+    check_measure_membership,
     check_submarket_nfl,
     deflator_cone_rows,
     scope_basis,
@@ -37,8 +39,9 @@ from .gains import (
     SimpleStrategy,
     complete_self_financing,
     strategy_from_coefficients,
+    terminal_value,
 )
-from .lp import EQ, GE, LE, OPTIMAL, lp, solve_fractional, solve_lp
+from .lp import EQ, GE, LE, OPTIMAL, fractional_program, lp, solve_fractional, solve_lp
 from .market import Claim, MarketModel
 from .numbers import Num
 
@@ -104,6 +107,57 @@ def _measure_witness(model, selector_weight, cone_x) -> DualWitness:
     return DualWitness(kind="measure", values=values, boundary=boundary)
 
 
+def _certify(model, h, scope, allocation, hedge, witness) -> tuple[Num, Num]:
+    """Check both sides of a price without the LP code; returns the value of
+    the witness and the duality gap.
+
+    1. The hedge, replayed from the allocation, dominates the claim on every
+       atom; a joint-venue allocation is also nonnegative.
+    2. The witness lies in the closed measure set of the submarket `scope`,
+       or for the joint venue in the global deflator cone: nonnegative,
+       orthogonal to every gain and within every budget row.
+    3. The allocation's total equals the witness's value.
+
+    Exact mode allows no slack; float mode the documented 1e-9 for
+    feasibility and 1e-8 for membership.
+    """
+    exact = model.exact
+    feas, member = (0, 0) if exact else (1e-9, 1e-8)
+    tree = model.tree
+    wealth = terminal_value(model, allocation, hedge)
+    for k, a in enumerate(tree.leaves):
+        short = h[k] - wealth[a]
+        if short > feas * (1 + abs(h[k])):
+            raise certificate_failure(exact, short, f"hedge misses the claim by {short} at {a!r}")
+    if scope == GLOBAL:
+        for lab, x in allocation.items():
+            if x < -feas:
+                raise certificate_failure(exact, x, f"negative allocation {x} to {lab!r}")
+        q = [tree.atom_probs[a] * witness.values[a] for a in tree.leaves]
+        if any(v < -member for v in q):
+            raise certificate_failure(exact, min(q), f"cone witness {min(q)} is negative")
+        for g in scope_basis(model, GLOBAL):
+            r = sum(v * w for v, w in zip(g.payoff, q))
+            if abs(r) > member:
+                where = f"{g.submarket}/{g.node}/{g.asset}"
+                raise certificate_failure(exact, r, f"cone witness not orthogonal to gain {where}: {r}")
+        for lab in model.labels:
+            ratio = model.numeraire_ratio(lab)
+            mass = sum(ratio[a] * w for a, w in zip(tree.leaves, q))
+            if mass > 1 + feas:
+                raise certificate_failure(exact, mass, f"cone witness exceeds budget of {lab!r}: {mass}")
+        value = sum(v * w for v, w in zip(h, q))
+    else:
+        report = check_measure_membership(model, witness.values, MeasureSelector.hat(model, scope))
+        if not report.member:
+            raise certificate_failure(
+                exact, report.residuals, f"witness is not in the measure set of {scope!r}"
+            )
+        ratio = model.numeraire_ratio(scope)
+        value = sum(witness.values[a] * v / ratio[a] for a, v in zip(tree.leaves, h))
+    return value, _gap(sum(allocation.values()), value, exact)
+
+
 def _require_submarket_nfl(model, label):
     result = check_submarket_nfl(model, label)
     if not result.ok:
@@ -118,49 +172,51 @@ def _require_global_nfl(model):
     return result.certificate
 
 
+def _solve_optimal(prog, model: MarketModel, name: str):
+    """The venue's one LP.  A model that passed its NFL check makes it
+    feasible and bounded, so any other status is a solver fault."""
+    out = solve_lp(prog, model.exact)
+    if out.status != OPTIMAL:
+        raise certificate_failure(model.exact, out.status, f"{name} is {out.status}")
+    return out
+
+
 def price_submarket(model: MarketModel, claim, label: str) -> PriceReport:
     """Classical superreplication price hedging only inside one submarket.
 
-    Primal: minimal initial capital x (of either sign) such that x units of
-    numeraire growth plus some zero-cost gain dominates the claim atom-wise.
-    Dual: the weighted measure set of the submarket's own growth; the gap
-    must be zero.
+    One LP over the submarket's deflator cone, normalized by its numeraire
+    growth: maximize E[X H] subject to E[X ratio] = 1.  The optimum is the
+    supremum over the submarket's measure set, attained by the dual witness.
+    The row duals are the hedge: the normalization row's dual is the initial
+    capital x (of either sign), the cone rows' duals the gain coefficients,
+    so that x units of numeraire growth plus that zero-cost gain dominate
+    the claim.  `_certify` checks both sides.
     """
     _require_submarket_nfl(model, label)
     h = _payoff_vector(model, claim)
     tree = model.tree
-    basis = scope_basis(model, label)
     ratio = model.numeraire_ratio(label)
-    nb = len(basis)
-    rows = []
-    for k, atom in enumerate(tree.leaves):
-        coeffs = [ratio[atom]] + [g.payoff[k] for g in basis]
-        rows.append((coeffs, GE, h[k]))
-    prog = lp("min", [1] + [0] * nb, rows, bounds=[(None, None)] * (1 + nb))
-    out = solve_lp(prog, model.exact)
-    if out.status != OPTIMAL:
-        raise SubmarketArbitrage(None, f"hedging LP in {label!r} is {out.status}")
-    price = out.value
-    hedge_risky = strategy_from_coefficients(model, basis, out.x[1:])
-    hedge = complete_self_financing(model, {label: price}, hedge_risky)
-
     probs = [tree.atom_probs[a] for a in tree.leaves]
-    dual = solve_fractional(
+    prog = fractional_program(
         [p * v for p, v in zip(probs, h)],
         [p * ratio[a] for p, a in zip(probs, tree.leaves)],
         deflator_cone_rows(model, label),
-        sense="max",
-        exact=model.exact,
     )
-    gap = _gap(price, dual.value, model.exact)
+    out = _solve_optimal(prog, model, f"measure LP in {label!r}")
+    *coeffs, capital = out.row_duals
+    allocation = {label: capital + 0}  # + 0: a float -0.0 dual reports as 0.0
+    hedge_risky = strategy_from_coefficients(model, scope_basis(model, label), coeffs)
+    hedge = complete_self_financing(model, allocation, hedge_risky)
+    witness = _measure_witness(model, ratio, out.x)
+    dual_value, gap = _certify(model, h, label, allocation, hedge, witness)
     return PriceReport(
         venue=f"submarket:{label}",
         status="optimal",
-        price=price,
-        allocation={label: price},
+        price=allocation[label],
+        allocation=allocation,
         hedge=hedge,
-        dual_value=dual.value,
-        dual_witness=_measure_witness(model, ratio, dual.witness),
+        dual_value=dual_value,
+        dual_witness=witness,
         duality_gap=gap,
     )
 
@@ -200,59 +256,43 @@ def price_global(model: MarketModel, claim) -> PriceReport:
     terminal wealth.  The minimum is attained (polyhedral program); the
     report carries the attaining allocation and hedge.
 
-    The independent dual maximizes the claim's value over deflator-cone
-    directions whose growth-weighted mass stays within every submarket's
-    budget row; the gap must be zero.
+    One LP: maximize the claim's value over deflator-cone directions whose
+    growth-weighted mass stays within every submarket's budget row.  Its
+    row duals are the hedge: the budget rows' duals are the allocation and
+    the gain rows' duals the gain coefficients.  `_certify` checks both
+    sides.
     """
     _require_global_nfl(model)
     h = _payoff_vector(model, claim)
     tree = model.tree
     labels = list(model.labels)
-    ratios = {lab: model.numeraire_ratio(lab) for lab in labels}
     basis = scope_basis(model, GLOBAL)
-    ns, nb = len(labels), len(basis)
-    rows = []
-    for k, atom in enumerate(tree.leaves):
-        coeffs = [ratios[lab][atom] for lab in labels] + [g.payoff[k] for g in basis]
-        rows.append((coeffs, GE, h[k]))
-    bounds = [(0, None)] * ns + [(None, None)] * nb
-    prog = lp("min", [1] * ns + [0] * nb, rows, bounds=bounds)
-    out = solve_lp(prog, model.exact)
-    if out.status != OPTIMAL:
-        raise GlobalArbitrage(None, f"global hedging LP is {out.status}")
-    price = out.value
-    allocation = dict(zip(labels, out.x[:ns]))
-    hedge_risky = strategy_from_coefficients(model, basis, out.x[ns:])
-    hedge = complete_self_financing(model, allocation, hedge_risky)
-
-    # independent dual: max q.H st q >= 0, q orthogonal to all gains,
-    # sum_w q(w) ratio_tau(w) <= 1 for every tau
-    probs = [tree.atom_probs[a] for a in tree.leaves]
-    dual_rows = []
-    for g in basis:
-        dual_rows.append((list(g.payoff), EQ, 0))
+    rows = [(list(g.payoff), EQ, 0) for g in basis]
     for lab in labels:
-        dual_rows.append(([ratios[lab][a] for a in tree.leaves], LE, 1))
-    dual_out = solve_lp(lp("max", h, dual_rows), model.exact)
-    if dual_out.status != OPTIMAL:
-        raise certificate_failure(
-            model.exact, dual_out.status, f"global dual LP is {dual_out.status}"
-        )
-    gap = _gap(price, dual_out.value, model.exact)
+        ratio = model.numeraire_ratio(lab)
+        rows.append(([ratio[a] for a in tree.leaves], LE, 1))
+    out = _solve_optimal(lp("max", h, rows), model, "global dual LP")
+    nb = len(basis)
+    # + 0: a float -0.0 dual reports as 0.0
+    allocation = {lab: y + 0 for lab, y in zip(labels, out.row_duals[nb:])}
+    hedge_risky = strategy_from_coefficients(model, basis, out.row_duals[:nb])
+    hedge = complete_self_financing(model, allocation, hedge_risky)
     cone_values = {
-        a: dual_out.x[k] / probs[k] for k, a in enumerate(tree.leaves)
+        a: out.x[k] / tree.atom_probs[a] for k, a in enumerate(tree.leaves)
     }
-    boundary = any(v == 0 for v in dual_out.x) if model.exact else any(
-        abs(v) <= 1e-12 for v in dual_out.x
+    boundary = any(v == 0 for v in out.x) if model.exact else any(
+        abs(v) <= 1e-12 for v in out.x
     )
+    witness = DualWitness(kind="cone", values=cone_values, boundary=boundary)
+    dual_value, gap = _certify(model, h, GLOBAL, allocation, hedge, witness)
     return PriceReport(
         venue=VENUE_GLOBAL,
         status="optimal",
-        price=price,
+        price=sum(allocation.values()),
         allocation=allocation,
         hedge=hedge,
-        dual_value=dual_out.value,
-        dual_witness=DualWitness(kind="cone", values=cone_values, boundary=boundary),
+        dual_value=dual_value,
+        dual_witness=witness,
         duality_gap=gap,
     )
 

@@ -78,12 +78,6 @@ class ScenarioTree:
                 return node_id
         raise MalformedTopology(f"antichain misses atom {leaf_id!r}")
 
-    def as_vector(self, mapping: Mapping[str, Num]) -> tuple[Num, ...]:
-        return tuple(mapping[a] for a in self.leaves)
-
-    def as_mapping(self, vector: Sequence[Num]) -> dict[str, Num]:
-        return dict(zip(self.leaves, vector))
-
 
 @dataclass(frozen=True)
 class StoppingTime:

@@ -1,22 +1,30 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multimarket.arbitrage import check_global_nfl
+import multimarket.arbitrage as arbitrage
+import multimarket.lp as lp_module
+import multimarket.pricing as pricing
+from multimarket.arbitrage import MeasureSelector, check_global_nfl
 from multimarket.errors import (
     CertificateViolation,
     ConditionNotMet,
     DimensionNotOne,
     GlobalArbitrage,
+    NumericBreakdown,
     SubmarketArbitrage,
     WrongShape,
 )
 from multimarket.gains import strategy_wealth
 from multimarket.generate import random_claim, random_model
-from multimarket.market import Submarket, make_model, scale_submarket
+from multimarket.market import Submarket, load_market, make_model, scale_submarket, serialize_market
 from multimarket.pricing import (
     basis_swap_price,
     dual_bounds_global,
@@ -115,6 +123,100 @@ def test_superreplication_attained_with_tight_atom(m2):
         assert all(s >= 0 for s in slacks)
         if report.price > 0:
             assert any(s == 0 for s in slacks)
+
+
+def test_each_price_solves_one_lp_after_its_nfl_check(monkeypatch):
+    calls = []
+    solve = lp_module.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for module in (lp_module, arbitrage, pricing):
+        monkeypatch.setattr(module, "solve_lp", counted)
+    for seed in range(6):
+        model = random_model(seed, arbitrage_free=True)
+        h = random_claim(random.Random(seed), model)
+        for label in model.labels:
+            calls.clear()
+            price_submarket(model, h, label)
+            assert len(calls) == 2, (seed, label)  # deflator LP, measure LP
+        calls.clear()
+        price_global(model, h)
+        assert len(calls) == 2, seed  # deflator LP, global dual LP
+        calls.clear()
+        price_fractional(model, h, MeasureSelector.max_ratio(model).weight)
+        assert len(calls) == 1, seed
+
+
+def _forge(monkeypatch, field):
+    """Make the venue LP report a shifted first entry of `field`: a first
+    gain coefficient that is off by one (the hedge misses the claim on one
+    atom of m2), or a witness with one more unit of mass on the first atom
+    (out of the cone)."""
+    solve = pricing.solve_lp
+
+    def forged(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        values = list(getattr(out, field))
+        values[0] += 1
+        return dataclasses.replace(out, **{field: tuple(values)})
+
+    monkeypatch.setattr(pricing, "solve_lp", forged)
+
+
+@pytest.mark.parametrize("venue", ["submarket", "global"])
+@pytest.mark.parametrize(
+    "field, message",
+    [("row_duals", "hedge misses the claim"), ("x", "measure set|cone witness")],
+)
+@pytest.mark.parametrize("mode, error", [("rational", CertificateViolation), ("float", NumericBreakdown)])
+def test_forged_certificate_is_rejected(monkeypatch, m2, venue, field, message, mode, error):
+    model = load_market({**serialize_market(m2), "mode": mode})
+    h = terminal_asset_claim(model, "tau1")
+    _forge(monkeypatch, field)
+    with pytest.raises(error, match=message):
+        if venue == "global":
+            price_global(model, h)
+        else:
+            price_submarket(model, h, "tau1")
+
+
+_FORGED_UNDER_O = """
+import dataclasses, json, sys
+from multimarket import pricing
+from multimarket.errors import CertificateViolation
+from multimarket.market import load_market
+
+solve = pricing.solve_lp
+
+def forged(*args, **kwargs):
+    out = solve(*args, **kwargs)
+    duals = (out.row_duals[0] + 1,) + out.row_duals[1:]
+    return dataclasses.replace(out, row_duals=duals)
+
+pricing.solve_lp = forged
+with open(sys.argv[1]) as handle:
+    model = load_market(json.load(handle))
+try:
+    pricing.price_global(model, pricing.terminal_asset_claim(model, "tau1"))
+except CertificateViolation:
+    print("debug", __debug__, "raised")
+"""
+
+
+def test_forged_certificate_is_rejected_under_optimize_flag(m2_path):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _FORGED_UNDER_O, m2_path],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.stdout == "debug False raised\n", out.stderr
 
 
 def test_dual_certificate_m2(m2):
