@@ -148,7 +148,7 @@ def _require_positive(weight: Mapping[str, Num]) -> None:
 
 def scope_basis(model: MarketModel, scope: str) -> tuple[GainAtom, ...]:
     if scope == GLOBAL:
-        return global_gains(model).flat
+        return global_gains(model)
     return elementary_gains(model, scope)
 
 

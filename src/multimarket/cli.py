@@ -146,9 +146,8 @@ def _price_payload(report):
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.spec) as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        document = _read_document(args.spec)
+    except SchemaError as exc:
         _emit({"ok": False, "issues": [{"code": "Unreadable", "detail": str(exc)}]})
         return EXIT_VALIDATION
     try:

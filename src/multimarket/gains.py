@@ -31,12 +31,6 @@ class GainAtom:
 
 
 @dataclass(frozen=True)
-class GainsBasis:
-    per_submarket: Mapping[str, tuple[GainAtom, ...]]
-    flat: tuple[GainAtom, ...]
-
-
-@dataclass(frozen=True)
 class SimpleStrategy:
     """Predictable one-step positions per submarket.
 
@@ -71,11 +65,9 @@ def elementary_gains(model: MarketModel, label: str) -> tuple[GainAtom, ...]:
     return tuple(out)
 
 
-def global_gains(model: MarketModel) -> GainsBasis:
+def global_gains(model: MarketModel) -> tuple[GainAtom, ...]:
     """Concatenation of every submarket's elementary gains, declared order."""
-    per = {sub.label: elementary_gains(model, sub.label) for sub in model.submarkets}
-    flat = tuple(g for sub in model.submarkets for g in per[sub.label])
-    return GainsBasis(per_submarket=per, flat=flat)
+    return tuple(g for label in model.labels for g in elementary_gains(model, label))
 
 
 def strategy_from_coefficients(
@@ -235,7 +227,6 @@ def in_span(
     vectors: Sequence[Sequence[Num]],
     target: Sequence[Num],
     exact: bool = True,
-    tol: float = 1e-9,
 ) -> bool:
     """Feasibility of writing `target` as a linear combination of `vectors`."""
     nvars = len(vectors)
@@ -244,4 +235,4 @@ def in_span(
         coeffs = [vectors[j][k] for j in range(nvars)]
         rows.append((coeffs, EQ, target[k]))
     prog = lp("min", [0] * nvars, rows, bounds=[(None, None)] * nvars)
-    return solve_lp(prog, exact, tol).status != INFEASIBLE
+    return solve_lp(prog, exact).status != INFEASIBLE

@@ -10,7 +10,7 @@ the same exact values as over Fractions, so the pivot path is the same.
 Every outcome carries a certificate that is checked before returning:
 
 * optimal: primal and dual solutions with complementary slackness and a
-  zero (or tol-bounded) duality gap,
+  zero (or TOL-bounded) duality gap,
 * infeasible: a Farkas vector over the rows whose aggregate constraint no
   point within the variable bounds can satisfy,
 * unbounded: a feasible improving ray.
@@ -35,6 +35,7 @@ LE, EQ, GE = "<=", "==", ">="
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 _MAX_PIVOTS = 20000
+TOL = 1e-9  # float mode: feasibility, optimality and certificate slack
 
 
 @dataclass(frozen=True)
@@ -419,20 +420,20 @@ def _dot(a, b):
     return total
 
 
-def solve_lp(prog: LinearProgram, exact: bool = True, tol: float = 1e-9) -> LpOutcome:
+def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
     """Solve with fixed deterministic pivoting; certificates verified before
     return.  Float mode raises NumericBreakdown when verification fails."""
     std = _Standardizer(prog, exact)
     zero = std.zero
-    tab = _Tableau(std, 0 if exact else tol)
+    tab = _Tableau(std, 0 if exact else TOL)
     residue = tab.phase1()
-    feas_tol = 0 if exact else tol * (1 + max((abs(row[-1]) for row in std.rows), default=0))
+    feas_tol = 0 if exact else TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
     if residue > feas_tol:
         y = _dual_from_basis(std, tab, phase1=True)
         if y is None:
             raise NumericBreakdown("cannot recover Farkas certificate")
         farkas = tuple(std.flip[i] * y[i] for i in range(std.nrows))
-        _verify_farkas(prog, farkas, exact, tol)
+        _verify_farkas(prog, farkas, exact)
         return LpOutcome(status=INFEASIBLE, farkas=farkas)
     if tab.n_art:
         tab.drive_out_artificials()
@@ -444,7 +445,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True, tol: float = 1e-9) -> LpOu
             if tab.row_alive[i] and tab.basis[i] < std.ncols:
                 ray_u[tab.basis[i]] = -tab.value(i, unbounded_col)
         ray = std.to_user_dir(ray_u)
-        _verify_ray(prog, ray, exact, tol)
+        _verify_ray(prog, ray, exact)
         return LpOutcome(status=UNBOUNDED, ray=ray)
 
     u = [zero] * std.ncols
@@ -456,7 +457,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True, tol: float = 1e-9) -> LpOu
     y = _dual_from_basis(std, tab, phase1=False)
     if y is None:
         raise NumericBreakdown("cannot recover dual solution")
-    _verify_optimal(std, u, y, exact, tol)
+    _verify_optimal(std, u, y, exact)
     duals = tuple(std.sense_sign * std.flip[i] * y[i] for i in range(std.nrows))
     return LpOutcome(status=OPTIMAL, x=x, value=value, row_duals=duals)
 
@@ -494,7 +495,7 @@ def _dual_from_basis(std: _Standardizer, tab: _Tableau, phase1: bool):
     return y
 
 
-def _verify_optimal(std: _Standardizer, u, y, exact, tol) -> None:
+def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
     """A u = b, u >= 0, c - A^T y >= 0 and complementary slackness, against
     the standardizer's rows.  Exact mode brings u and y_i / d_i to integers
     over common denominators, so each test compares the sign of an integer
@@ -504,7 +505,7 @@ def _verify_optimal(std: _Standardizer, u, y, exact, tol) -> None:
         u_num, u_den = _int_row(u)
         z, z_den = _int_row([yi / d for yi, d in zip(y, std.dens)])
     else:
-        t = tol * (1 + max((abs(row[-1]) for row in std.rows), default=0))
+        t = TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
         u_num, u_den, z, z_den = u, 1.0, y, 1.0
     for i, row in enumerate(std.rows):
         residual = _dot(row, u_num) - row[-1] * u_den
@@ -516,15 +517,15 @@ def _verify_optimal(std: _Standardizer, u, y, exact, tol) -> None:
             raise NumericBreakdown(f"negative basic value u[{j}]={u[j]}")
         cj = std.cost[j]
         reduced = cj * z_den - std.cost_den * _dot([row[j] for row in std.rows], z)
-        if reduced < -(0 if exact else tol * (1 + abs(cj))):
+        if reduced < -(0 if exact else TOL * (1 + abs(cj))):
             shown = _value(reduced, std.cost_den * z_den, exact)
             raise NumericBreakdown(f"dual infeasible: reduced cost {shown} at col {j}")
         if exact and u_num[j] > 0 and reduced != 0:
             raise NumericBreakdown("complementary slackness violated")
 
 
-def _verify_farkas(prog: LinearProgram, farkas, exact, tol) -> None:
-    t = 0 if exact else tol
+def _verify_farkas(prog: LinearProgram, farkas, exact) -> None:
+    t = 0 if exact else TOL
     n = len(prog.objective)
     w = [0] * n
     delta = 0
@@ -555,8 +556,8 @@ def _verify_farkas(prog: LinearProgram, farkas, exact, tol) -> None:
         raise NumericBreakdown(f"Farkas aggregate sup {sup} !< rhs {delta}")
 
 
-def _verify_ray(prog: LinearProgram, ray, exact, tol) -> None:
-    t = 0 if exact else tol
+def _verify_ray(prog: LinearProgram, ray, exact) -> None:
+    t = 0 if exact else TOL
     improving = _dot(prog.objective, ray)
     ok = improving < -t if prog.sense == "min" else improving > t
     if not ok:
@@ -605,13 +606,12 @@ def solve_fractional(
     cone_rows: Sequence[tuple[Sequence[Num], str, Num]],
     sense: str = "max",
     exact: bool = True,
-    tol: float = 1e-9,
 ) -> FractionalOutcome:
     """Optimize the ratio program of `fractional_program`; the witness is
     the normalized X.  The cone rows are homogeneous, so the slice is empty
     exactly when the denominator is positive nowhere on the cone: that
     raises DegenerateDenominator."""
-    out = solve_lp(fractional_program(numerator, denominator, cone_rows, sense), exact, tol)
+    out = solve_lp(fractional_program(numerator, denominator, cone_rows, sense), exact)
     if out.status == INFEASIBLE:
         raise DegenerateDenominator("denominator vanishes on the whole cone")
     if out.status == UNBOUNDED:

@@ -71,10 +71,6 @@ class MarketModel:
         initial = sub.numeraire[root]
         return {a: sub.numeraire[a] / initial for a in self.tree.leaves}
 
-    def terminal_assets(self, label: str) -> dict[str, tuple[Num, ...]]:
-        sub = self.submarket(label)
-        return {a: sub.assets[a] for a in self.tree.leaves}
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -239,6 +235,8 @@ def load_market(document: Mapping) -> MarketModel:
         shape = tree_spec["nodes"]
     else:
         raise SchemaError("tree section needs 'branching' or 'nodes'")
+    if not isinstance(shape, Sequence) or isinstance(shape, str):
+        raise SchemaError(f"tree shape must be a list, got {shape!r}")
     if "atom_probs" not in tree_spec:
         raise SchemaError("tree section lacks 'atom_probs'")
     tree = build_tree(shape, tree_spec["atom_probs"], exact=exact)
@@ -255,7 +253,11 @@ def load_market(document: Mapping) -> MarketModel:
         label = entry.get("label")
         if not label:
             raise SchemaError("submarket without label")
+        if not isinstance(label, str):
+            raise SchemaError(f"submarket label {label!r} is not a string")
         dim = entry.get("dim", 1)
+        if not isinstance(dim, int):
+            raise SchemaError(f"submarket {label!r} has a non-integer dim {dim!r}")
         assets_raw = entry.get("assets")
         if not isinstance(assets_raw, Mapping):
             raise SchemaError(f"submarket {label!r} lacks an 'assets' map")
@@ -264,12 +266,12 @@ def load_market(document: Mapping) -> MarketModel:
             if not isinstance(values, Sequence) or isinstance(values, str):
                 raise SchemaError(f"asset values at {label}/{node_id} must be a list")
             assets[node_id] = tuple(parse_scalar(v, exact) for v in values)
-        if "numeraire" in entry:
+        numeraire_raw = entry.get("numeraire")
+        if isinstance(numeraire_raw, Mapping):
             numeraire = {
-                node_id: parse_scalar(v, exact)
-                for node_id, v in entry["numeraire"].items()
+                node_id: parse_scalar(v, exact) for node_id, v in numeraire_raw.items()
             }
-        elif rate_structure is not None:
+        elif numeraire_raw is None and rate_structure is not None:
             numeraire = _numeraire_from_rates(tree, rate_structure, label, exact)
         else:
             raise SchemaError(f"submarket {label!r} lacks a 'numeraire' map")

@@ -2,8 +2,8 @@
 
 Nothing here touches the simplex: vertex enumeration and active-set
 enumeration run on their own Gauss-Jordan elimination, and the grid search
-is plain refinement over strategy coefficients.  Hard size caps keep the
-combinatorics honest; anything larger raises TooLarge.
+is a nested convex line search over strategy coefficients.  Hard size caps
+keep the combinatorics honest; anything larger raises TooLarge.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .numbers import Num
 
 MAX_ATOMS = 12
 MAX_GAINS = 10
+TERNARY_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -222,17 +223,40 @@ def brute_superreplication(model: MarketModel, claim, venue) -> OracleResult:
     )
 
 
-def grid_superreplication(
-    model: MarketModel, claim, venue, rounds: int = 60
-) -> OracleResult:
-    """Float second opinion: grid refinement over the gain coefficients.
+def _convex_min(g) -> float:
+    """Minimum of a convex function of one real variable.
+
+    Doubling widens the bracket while g still falls towards either end;
+    ternary steps then shrink it.  When the two probes tie, convexity puts
+    a minimiser between them, so the bracket keeps only that stretch."""
+    lo, hi = -1.0, 1.0
+    while hi < 2.0**40 and g(hi) < g(hi / 2):
+        hi *= 2
+    while lo > -(2.0**40) and g(lo) < g(lo / 2):
+        lo *= 2
+    for _ in range(TERNARY_STEPS):
+        m1, m2 = (2 * lo + hi) / 3, (lo + 2 * hi) / 3
+        v1, v2 = g(m1), g(m2)
+        lo, hi = (lo, m2) if v1 < v2 else (m1, hi) if v1 > v2 else (m1, m2)
+    return g((lo + hi) / 2)
+
+
+def _partial_min(f, n: int, prefix: tuple[float, ...] = ()) -> float:
+    """Minimum of a convex f over R^n, one coordinate at a time: minimising
+    a convex function over some of its arguments leaves a convex function
+    of the rest, so each level is a one-dimensional convex search."""
+    if len(prefix) == n:
+        return f(prefix)
+    return _convex_min(lambda t: _partial_min(f, n, prefix + (t,)))
+
+
+def grid_superreplication(model: MarketModel, claim, venue) -> OracleResult:
+    """Float second opinion: nested line search over the gain coefficients.
 
     The funding cost for fixed coefficients is closed-form (single venue) or
     a tiny half-plane intersection (two submarkets), and it is convex in the
-    coefficients, so the search alternates a direction grid with an exact
-    line minimization along the best ray; the direction grid refines when a
-    whole sweep stalls, which defeats arbitrarily thin piecewise-linear
-    valleys that fixed axis patterns cannot enter."""
+    coefficients, so its minimum is reached by one exact convex line search
+    per coefficient (`_partial_min`), with no simplex and no direction grid."""
     payoff = claim.payoff if isinstance(claim, Claim) else claim
     tree = model.tree
     atoms = tree.leaves
@@ -273,75 +297,8 @@ def grid_superreplication(
                     best = cost
         return best if best is not None else float("inf")
 
-    if ng == 0:
-        return OracleResult(
-            value=funding_cost(()), method="grid_search", instance_size=(len(atoms), ns)
-        )
-
-    import math
-
-    def line_min(y, direction):
-        """Exact-enough 1-D minimization along a ray (convex along rays)."""
-        def g(t):
-            return funding_cost([y[j] + t * direction[j] for j in range(ng)])
-
-        step = 1.0
-        best_t, best_v = 0.0, g(0.0)
-        while g(step) < best_v:  # bracket by doubling
-            best_t, best_v = step, g(step)
-            step *= 2.0
-            if step > 1e9:
-                break
-        lo, hi = 0.0, step
-        for _ in range(120):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if g(m1) <= g(m2):
-                hi = m2
-            else:
-                lo = m1
-        t = (lo + hi) / 2
-        return ([y[j] + t * direction[j] for j in range(ng)], g(t))
-
-    best_y = [0.0] * ng
-    best_val = funding_cost(best_y)
-    if ng == 1:
-        for direction in ([1.0], [-1.0]):
-            candidate, value = line_min(best_y, direction)
-            if value < best_val:
-                best_y, best_val = candidate, value
-        return OracleResult(
-            value=best_val, method="grid_search", instance_size=(len(atoms), ns + ng)
-        )
-
-    def angular_pass(start_y, start_val, probe_scale):
-        y, val = list(start_y), start_val
-        n_angles = 720
-        for _ in range(rounds):
-            best_dir = None
-            probe = probe_scale * (1 + sum(abs(v) for v in y))
-            for k in range(n_angles):
-                theta = 2 * math.pi * k / n_angles
-                direction = [math.cos(theta), math.sin(theta)]
-                probe_val = funding_cost([y[j] + probe * direction[j] for j in range(ng)])
-                if probe_val < val - 1e-14 * (1 + abs(val)) and (
-                    best_dir is None or probe_val < best_dir[0]
-                ):
-                    best_dir = (probe_val, direction)
-            if best_dir is not None:
-                candidate, value = line_min(y, best_dir[1])
-                if value < val - 1e-13 * (1 + abs(val)):
-                    y, val = candidate, value
-                    continue
-            n_angles *= 3
-            if n_angles > 60_000:
-                break
-        return y, val
-
-    # the direction quantization leaves an error proportional to the walked
-    # distance; a restart from the first pass's endpoint squares it away
-    best_y, best_val = angular_pass(best_y, best_val, 1e-6)
-    best_y, best_val = angular_pass(best_y, best_val, 1e-9)
     return OracleResult(
-        value=best_val, method="grid_search", instance_size=(len(atoms), ns + ng)
+        value=_partial_min(funding_cost, ng),
+        method="grid_search",
+        instance_size=(len(atoms), ns + ng),
     )

@@ -504,12 +504,7 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
                 f"expected growth of {lab!r} varies over the measure set: [{lo}, {hi}]"
             )
         c_values[lab] = hi
-    tau_max = max(model.labels, key=lambda lab: (c_values[lab],))
-    # deterministic tie-break: first label attaining the max
-    for lab in model.labels:
-        if c_values[lab] == c_values[tau_max]:
-            tau_max = lab
-            break
+    tau_max = max(model.labels, key=lambda lab: c_values[lab])  # first label on ties
     sup_h = price_fractional(model, claim, selector.weight, sense="max")
     price = sup_h / c_values[tau_max]
 

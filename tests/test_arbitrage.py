@@ -26,7 +26,8 @@ from multimarket.gains import strategy_cost, strategy_wealth, terminal_value
 from multimarket.generate import random_model
 from multimarket.market import Submarket, load_market, make_model, serialize_market
 from multimarket.oracle import enumerate_measure_vertices
-from multimarket.tree import build_tree, sample_stopping_time_pairs
+from multimarket.tree import build_tree
+from stopping import node_on_path, sample_stopping_time_pairs
 
 
 def _witness_is_sound(model, witness):
@@ -180,7 +181,7 @@ def test_martingale_property_node_by_node_on_random_models():
                 mass = sum(q[a] for a in tree.atoms_under(node_id))
                 for i in range(model.submarket(label).dim):
                     expected = sum(
-                        q[a] * tilde[tree.node_on_path(a, frozenset(tree.children(node_id)))][i]
+                        q[a] * tilde[node_on_path(tree, a, frozenset(tree.children(node_id)))][i]
                         for a in tree.atoms_under(node_id)
                     )
                     assert expected == mass * tilde[node_id][i]
@@ -318,8 +319,8 @@ def test_stopping_time_orthogonality(m2):
                 phi = {n: F(rng.randint(-3, 3)) for n in earlier.antichain}
                 total = 0
                 for leaf in tree.leaves:
-                    n1 = tree.node_on_path(leaf, earlier.antichain)
-                    n2 = tree.node_on_path(leaf, later.antichain)
+                    n1 = node_on_path(tree, leaf, earlier.antichain)
+                    n2 = node_on_path(tree, leaf, later.antichain)
                     move = tilde[n2][0] - tilde[n1][0]
                     total += (
                         tree.atom_probs[leaf]

@@ -251,6 +251,26 @@ def test_unparseable_number_in_document_exits_2(m2_path, tmp_path):
     assert "SchemaError" in out.stderr
 
 
+def test_malformed_submarket_exits_2_without_traceback(m2_path, tmp_path):
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    document["submarkets"][0]["dim"] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    for command in ("validate", "arb"):
+        out = _run_cli(command, str(bad))
+        assert out.returncode == 2, command
+        assert "Traceback" not in out.stderr, command
+
+
+def test_validate_non_utf8_file_is_unreadable(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, out = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert json.loads(out)["issues"][0]["code"] == "Unreadable"
+
+
 def test_unparseable_fra_argument_exits_2():
     out = _run_cli("fra", "--bi", "x", "--bm", "1", "--i", "0", "--m", "1")
     assert out.returncode == 2

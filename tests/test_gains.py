@@ -16,7 +16,8 @@ from multimarket.gains import (
 )
 from multimarket.generate import random_model
 from multimarket.market import Submarket, make_model
-from multimarket.tree import build_tree, sample_stopping_time_pairs
+from multimarket.tree import build_tree
+from stopping import node_on_path, sample_stopping_time_pairs
 
 
 def test_elementary_gains_m2(m2):
@@ -41,22 +42,22 @@ def test_constant_discounted_prices_have_zero_gains():
 
 def test_global_gains_concatenates_in_declared_order(m2):
     basis = global_gains(m2)
-    assert [g.submarket for g in basis.flat] == ["tau1", "tau2"]
-    assert [g.payoff for g in basis.flat] == [(F(2), F(-1)), (F(6, 5), F(-3, 5))]
+    assert [g.submarket for g in basis] == ["tau1", "tau2"]
+    assert [g.payoff for g in basis] == [(F(2), F(-1)), (F(6, 5), F(-3, 5))]
 
 
 def test_single_submarket_global_basis_is_its_own(m2):
     solo = make_model(m2.tree, [m2.submarket("tau1")])
-    assert global_gains(solo).flat == elementary_gains(solo, "tau1")
+    assert global_gains(solo) == elementary_gains(solo, "tau1")
 
 
 def test_duplicated_submarket_does_not_grow_the_span(m2):
     clone = Submarket("copy", 1, m2.submarket("tau1").assets, m2.submarket("tau1").numeraire)
     doubled = make_model(m2.tree, list(m2.submarkets) + [clone])
     basis = global_gains(doubled)
-    assert len(basis.flat) == 3
-    originals = [g.payoff for g in global_gains(m2).flat]
-    for g in basis.flat:
+    assert len(basis) == 3
+    originals = [g.payoff for g in global_gains(m2)]
+    for g in basis:
         assert in_span(originals, g.payoff)
 
 
@@ -142,15 +143,15 @@ def test_stopping_time_payoffs_stay_in_the_elementary_span():
                 phi = {n: F(rng.randint(-3, 3)) for n in earlier.antichain}
                 payoff = []
                 for leaf in tree.leaves:
-                    n1 = tree.node_on_path(leaf, earlier.antichain)
-                    n2 = tree.node_on_path(leaf, later.antichain)
+                    n1 = node_on_path(tree, leaf, earlier.antichain)
+                    n2 = node_on_path(tree, leaf, later.antichain)
                     move = tilde[n2][0] - tilde[n1][0]
                     payoff.append(sub.numeraire[leaf] * phi[n1] * move)
                 assert in_span(basis, payoff)
 
 
 def test_span_membership_lp(m2):
-    basis = [list(g.payoff) for g in global_gains(m2).flat]
+    basis = [list(g.payoff) for g in global_gains(m2)]
     total = [sum(col) for col in zip(*basis)]
     assert in_span(basis, total)
     assert not in_span(basis, [F(1), F(1)])

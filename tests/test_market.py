@@ -146,6 +146,12 @@ def test_missing_sections_schema_errors(m2_path):
         load_market({**document, "claims": [{"payoff": {"r.0": "1", "r.1": "1"}}]})
     with pytest.raises(SchemaError):
         load_market({**document, "claims": [{"label": "c"}]})
+    tau1 = document["submarkets"][0]
+    for bad_entry in ({"dim": "x"}, {"numeraire": [1, 1, 1]}, {"label": ["a"]}):
+        with pytest.raises(SchemaError):
+            load_market({**document, "submarkets": [{**tau1, **bad_entry}]})
+    with pytest.raises(SchemaError):
+        load_market({**document, "tree": {"branching": "ab", "atom_probs": ["1/2", "1/2"]}})
 
 
 def test_scale_submarket_positive_only(m2):

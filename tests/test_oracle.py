@@ -8,6 +8,8 @@ from multimarket.errors import TooLarge
 from multimarket.generate import random_claim, random_model
 from multimarket.market import Submarket, make_model
 from multimarket.oracle import (
+    _convex_min,
+    _partial_min,
     brute_superreplication,
     enumerate_measure_vertices,
     grid_superreplication,
@@ -141,6 +143,20 @@ def _float_twin(model):
         _paths=tree._paths,
     )
     return MarketModel(tree=float_tree, submarkets=subs, exact=False)
+
+
+def test_nested_line_search_on_hand_made_convex_functions():
+    assert abs(_convex_min(lambda t: abs(t - 3) + 5) - 5) < 1e-12  # kink
+    assert _convex_min(lambda t: abs(t - 1e6)) < 1e-9  # far minimiser
+    assert _convex_min(lambda t: abs(t + 1e6)) < 1e-9
+    assert _convex_min(lambda t: max(0.0, t - 4)) == 0.0  # flat bottom
+    assert abs(_partial_min(lambda y: abs(y[0] - 0.3) + 2, 1) - 2) < 1e-12
+    assert _partial_min(lambda y: 7.0, 0) == 7.0
+
+    def valley(y):  # thin, along y0 = y1: no coordinate direction descends
+        return max(1e6 * abs(y[0] - y[1]), abs(y[0] + y[1] - 2))
+
+    assert _partial_min(valley, 2) < 1e-12
 
 
 def test_grid_search_agrees_with_engine_in_float_mode():

@@ -9,9 +9,9 @@ from multimarket.errors import (
     NonPositiveProbability,
     ProbabilitySumMismatch,
 )
-from multimarket.tree import (
+from multimarket.tree import build_tree
+from stopping import (
     StoppingTime,
-    build_tree,
     enumerate_stopping_times,
     sample_stopping_time_pairs,
     sample_stopping_times,
