@@ -263,17 +263,19 @@ def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertifi
 def check_global_nfl(model: MarketModel) -> NflResult:
     """No free lunch across all submarkets jointly; on finite trees this is
     the no-arbitrage check, and it is strictly stronger than every
-    per-submarket check combined."""
-    try:
-        return NflResult(ok=True, certificate=extract_deflator(model, GLOBAL))
-    except ArbitrageExists as exc:
-        return NflResult(ok=False, witness=exc.witness)
+    per-submarket check combined.  Computed once per model."""
+    return model._memoized(("nfl", GLOBAL), lambda: _check_nfl(model, GLOBAL))
 
 
 def check_submarket_nfl(model: MarketModel, label: str) -> NflResult:
+    """No free lunch inside one submarket.  Computed once per model."""
     model.submarket(label)
+    return model._memoized(("nfl", label), lambda: _check_nfl(model, label))
+
+
+def _check_nfl(model: MarketModel, scope: str) -> NflResult:
     try:
-        return NflResult(ok=True, certificate=extract_deflator(model, label))
+        return NflResult(ok=True, certificate=extract_deflator(model, scope))
     except ArbitrageExists as exc:
         return NflResult(ok=False, witness=exc.witness)
 

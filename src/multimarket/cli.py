@@ -14,6 +14,7 @@ scalars as "p/q" strings, floats rounded to 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,7 +36,6 @@ from .errors import (
 )
 from .generate import random_model
 from .market import MarketModel, load_market, serialize_market, validate_model
-from .multicurve import ZcQuote, cotrade_arbitrage_demo, fra_rate
 from .numbers import format_sig12, parse_scalar, scalar_to_json
 from .pricing import (
     dual_bounds_global,
@@ -341,6 +341,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fra(args) -> int:
+    from .multicurve import fra_rate  # lazy: kept out of the other commands' start-up
+
     rate = fra_rate(
         parse_scalar(args.bi),
         parse_scalar(args.bm),
@@ -352,6 +354,8 @@ def cmd_fra(args) -> int:
 
 
 def cmd_demo_cotrade(args) -> int:
+    from .multicurve import ZcQuote, cotrade_arbitrage_demo
+
     document = _read_document(args.spec)
     model = load_market(document)
     quotes_doc = document.get("zc_quotes")
@@ -385,6 +389,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multimarket",

@@ -46,6 +46,10 @@ class SimpleStrategy:
 def elementary_gains(model: MarketModel, label: str) -> tuple[GainAtom, ...]:
     """One payoff vector per (non-terminal node, asset index), deterministic
     order: nodes as indexed by the tree, then asset index."""
+    return model._memoized(("elementary_gains", label), lambda: _elementary_gains(model, label))
+
+
+def _elementary_gains(model: MarketModel, label: str) -> tuple[GainAtom, ...]:
     sub = model.submarket(label)
     tree = model.tree
     tilde = discounted_prices(model, label)
@@ -67,7 +71,10 @@ def elementary_gains(model: MarketModel, label: str) -> tuple[GainAtom, ...]:
 
 def global_gains(model: MarketModel) -> tuple[GainAtom, ...]:
     """Concatenation of every submarket's elementary gains, declared order."""
-    return tuple(g for label in model.labels for g in elementary_gains(model, label))
+    return model._memoized(
+        ("global_gains",),
+        lambda: tuple(g for label in model.labels for g in elementary_gains(model, label)),
+    )
 
 
 def strategy_from_coefficients(

@@ -7,8 +7,8 @@ terminal payoffs given per atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 from .errors import (
     DimensionMismatch,
@@ -19,6 +19,8 @@ from .errors import (
 )
 from .numbers import Num, parse_scalar, scalar_to_json
 from .tree import ScenarioTree, build_tree
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -39,14 +41,34 @@ class Claim:
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Immutable after construction: safe to share across threads, and every
-    operation in the package treats it as read-only."""
+    """Immutable after construction: every operation in the package treats
+    it as read-only, so it is safe to share across threads.
+
+    `_memo` holds only facts derived from the fields above: numeraire
+    ratios, discounted prices, gain bases, NFL results per scope and venue
+    prices, each computed on first use and kept for the life of this object
+    (two threads may both compute a fact on first use; either equal result
+    is kept).  It takes no part in equality, hashing or repr, and
+    `dataclasses.replace` gives the new model an empty one.  A value taken
+    from it is shared by every caller, so callers never mutate one.
+    """
 
     tree: ScenarioTree
     submarkets: tuple[Submarket, ...]
     bound_constant: Num | None = None
     claims: tuple[Claim, ...] = ()
     exact: bool = True
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _memoized(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """The value stored under `key`, computed by `compute()` on first use.
+        An exception propagates and stores nothing, so the next call raises
+        it again."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -66,6 +88,9 @@ class MarketModel:
 
     def numeraire_ratio(self, label: str) -> dict[str, Num]:
         """Terminal numeraire growth per atom: S0_T(w) / S0_0."""
+        return self._memoized(("numeraire_ratio", label), lambda: self._numeraire_ratio(label))
+
+    def _numeraire_ratio(self, label: str) -> dict[str, Num]:
         sub = self.submarket(label)
         root = self.tree.path(self.tree.leaves[0])[0]
         initial = sub.numeraire[root]
@@ -184,6 +209,10 @@ def validate_model(model: MarketModel) -> ValidationReport:
 
 def discounted_prices(model: MarketModel, label: str) -> dict[str, tuple[Num, ...]]:
     """Asset values deflated by the submarket's own numeraire, node by node."""
+    return model._memoized(("discounted_prices", label), lambda: _discounted_prices(model, label))
+
+
+def _discounted_prices(model: MarketModel, label: str) -> dict[str, tuple[Num, ...]]:
     sub = model.submarket(label)
     return {
         node_id: tuple(v / sub.numeraire[node_id] for v in sub.assets[node_id])
@@ -283,6 +312,8 @@ def load_market(document: Mapping) -> MarketModel:
     for c in document.get("claims", ()):
         if not (isinstance(c, Mapping) and "label" in c and isinstance(c.get("payoff"), Mapping)):
             raise SchemaError(f"claim {c!r} needs a 'label' and a 'payoff' map")
+        if not isinstance(c["label"], str):
+            raise SchemaError(f"claim label {c['label']!r} is not a string")
         claims.append(
             Claim(
                 label=c["label"],

@@ -70,10 +70,10 @@ class PriceReport:
     selected_submarket: str | None = None
 
 
-def _payoff_vector(model: MarketModel, claim) -> list[Num]:
+def _payoff_vector(model: MarketModel, claim) -> tuple[Num, ...]:
     if isinstance(claim, Claim):
         claim = claim.payoff
-    return [claim[a] for a in model.tree.leaves]
+    return tuple(claim[a] for a in model.tree.leaves)
 
 
 def terminal_asset_claim(model: MarketModel, label: str, asset: int = 0) -> dict[str, Num]:
@@ -190,10 +190,15 @@ def price_submarket(model: MarketModel, claim, label: str) -> PriceReport:
     The row duals are the hedge: the normalization row's dual is the initial
     capital x (of either sign), the cone rows' duals the gain coefficients,
     so that x units of numeraire growth plus that zero-cost gain dominate
-    the claim.  `_certify` checks both sides.
+    the claim.  `_certify` checks both sides.  Computed once per model,
+    submarket and payoff vector.
     """
     _require_submarket_nfl(model, label)
     h = _payoff_vector(model, claim)
+    return model._memoized(("price_submarket", label, h), lambda: _price_submarket(model, h, label))
+
+
+def _price_submarket(model: MarketModel, h: tuple[Num, ...], label: str) -> PriceReport:
     tree = model.tree
     ratio = model.numeraire_ratio(label)
     probs = [tree.atom_probs[a] for a in tree.leaves]
@@ -260,10 +265,14 @@ def price_global(model: MarketModel, claim) -> PriceReport:
     growth-weighted mass stays within every submarket's budget row.  Its
     row duals are the hedge: the budget rows' duals are the allocation and
     the gain rows' duals the gain coefficients.  `_certify` checks both
-    sides.
+    sides.  Computed once per model and payoff vector.
     """
     _require_global_nfl(model)
     h = _payoff_vector(model, claim)
+    return model._memoized(("price_global", h), lambda: _price_global(model, h))
+
+
+def _price_global(model: MarketModel, h: tuple[Num, ...]) -> PriceReport:
     tree = model.tree
     labels = list(model.labels)
     basis = scope_basis(model, GLOBAL)
@@ -305,16 +314,27 @@ def price_fractional(
     sense: str = "max",
 ) -> Num:
     """Extreme of E_Q[H/Z] over the closed weighted measure set: computed as
-    the ratio program extreme of E[X H]/E[X Z] over the deflator cone."""
+    the ratio program extreme of E[X H]/E[X Z] over the deflator cone.
+    Computed once per model, scope, sense, payoff vector and weight vector."""
     tree = model.tree
     for atom in tree.leaves:
         if weight[atom] <= 0:
             raise NonPositiveWeight(f"weight {weight[atom]} at atom {atom!r}")
     h = _payoff_vector(model, claim)
-    probs = [tree.atom_probs[a] for a in tree.leaves]
+    z = tuple(weight[a] for a in tree.leaves)
+    return model._memoized(
+        ("price_fractional", scope, sense, h, z),
+        lambda: _price_fractional(model, h, z, scope, sense),
+    )
+
+
+def _price_fractional(
+    model: MarketModel, h: tuple[Num, ...], z: tuple[Num, ...], scope: str, sense: str
+) -> Num:
+    probs = [model.tree.atom_probs[a] for a in model.tree.leaves]
     out = solve_fractional(
         [p * v for p, v in zip(probs, h)],
-        [p * weight[a] for p, a in zip(probs, tree.leaves)],
+        [p * w for p, w in zip(probs, z)],
         deflator_cone_rows(model, scope),
         sense=sense,
         exact=model.exact,

@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import MalformedTopology, NonPositiveProbability, ProbabilitySumMismatch
+from .errors import (
+    MalformedTopology,
+    NonPositiveProbability,
+    ProbabilitySumMismatch,
+    SchemaError,
+)
 from .numbers import Num, parse_scalar
 
 ROOT_ID = "r"
@@ -76,10 +81,14 @@ def _explicit_nodes(spec) -> dict[str, Node]:
     parents: dict[str, str | None] = {}
     order: list[str] = []
     for entry in spec:
-        if isinstance(entry, dict):
+        if isinstance(entry, dict) and "id" in entry:
             node_id, parent = entry["id"], entry.get("parent")
-        else:
+        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
             node_id, parent = entry
+        else:
+            raise SchemaError(f"node entry {entry!r} is not an (id, parent) pair")
+        if not isinstance(node_id, str) or not (parent is None or isinstance(parent, str)):
+            raise SchemaError(f"node entry {entry!r} needs a string id and parent")
         if node_id in parents:
             raise MalformedTopology(f"duplicate node id {node_id!r}")
         parents[node_id] = parent
@@ -160,6 +169,8 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
 
     if isinstance(atom_probs, Mapping):
         raw = dict(atom_probs)
+    elif not isinstance(atom_probs, Sequence) or isinstance(atom_probs, str):
+        raise SchemaError(f"atom_probs must be a map or a list, got {atom_probs!r}")
     else:
         if len(atom_probs) != len(leaves):
             raise MalformedTopology(

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -8,6 +10,8 @@ import pytest
 
 from multimarket.cli import main
 from multimarket.errors import CertificateViolation
+from multimarket.generate import random_claim, random_model
+from multimarket.market import serialize_market
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -261,6 +265,55 @@ def test_malformed_submarket_exits_2_without_traceback(m2_path, tmp_path):
         out = _run_cli(command, str(bad))
         assert out.returncode == 2, command
         assert "Traceback" not in out.stderr, command
+
+
+@pytest.mark.parametrize("command", ["validate", "arb", "verify"])
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda doc: {**doc, "tree": {"nodes": [["r"]], "atom_probs": doc["tree"]["atom_probs"]}},
+        lambda doc: {**doc, "tree": {**doc["tree"], "atom_probs": 5}},
+        lambda doc: {**doc, "claims": [{**doc["claims"][0], "label": ["a"]}]},
+    ],
+    ids=["node-entry", "atom-probs", "claim-label"],
+)
+def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(defect(document)))
+    code, _ = run_cli(capsys, command, str(bad))
+    assert code == 2
+
+
+def test_cli_import_leaves_multicurve_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, multimarket.cli; print('multimarket.multicurve' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert out.stdout == "False\n", out.stderr
+
+
+# SHA-256 of each `verify` exit code and stdout, over seeded random models
+# with one claim, in both modes: any changed report byte changes it.
+VERIFY_REPORT_DIGEST = "948ac7c0c555d0dba00c2d690ac9fd668c4fadd8f73113bab5aa37642616d375"
+
+
+def test_verify_report_digest(capsys, tmp_path):
+    digest = hashlib.sha256()
+    spec = tmp_path / "model.json"
+    for seed in range(60):
+        model = random_model(seed)
+        claim = random_claim(random.Random(seed), model)
+        document = serialize_market(model)
+        document["claims"] = [{"label": "H", "payoff": {a: str(v) for a, v in claim.items()}}]
+        for mode in ("rational", "float"):
+            spec.write_text(json.dumps({**document, "mode": mode}))
+            code, out = run_cli(capsys, "verify", str(spec))
+            digest.update(f"{code}\n".encode() + out.encode())
+    assert digest.hexdigest() == VERIFY_REPORT_DIGEST
 
 
 def test_validate_non_utf8_file_is_unreadable(capsys, tmp_path):

@@ -221,8 +221,9 @@ def test_exact_pivots_keep_integer_rows_in_lowest_terms(monkeypatch):
 
 # SHA-256 of repr(LpOutcome), in call order, over every solve made below, in
 # both numeric modes. A different digest means a pivot path or an output
-# changed.
-OUTCOME_DIGEST = "5e01591d2cc65ad4fce5b445131f5865120807477caad0c1364c36e1b14fbb6f"
+# changed. `price_global` reuses the model's global NFL result from the
+# `check_global_nfl` call before it, so its deflator LP is not solved again.
+OUTCOME_DIGEST = "cb923b137c25381ccc4b99cc1f9b39c884a243d9e0ce0f047de9e8c9d15b15da"
 
 
 def test_outcome_digest(monkeypatch):

@@ -152,6 +152,12 @@ def test_missing_sections_schema_errors(m2_path):
             load_market({**document, "submarkets": [{**tau1, **bad_entry}]})
     with pytest.raises(SchemaError):
         load_market({**document, "tree": {"branching": "ab", "atom_probs": ["1/2", "1/2"]}})
+    probs = document["tree"]["atom_probs"]
+    for bad_tree in ({"nodes": [["r"]], "atom_probs": probs}, {"branching": [2], "atom_probs": 5}):
+        with pytest.raises(SchemaError):
+            load_market({**document, "tree": bad_tree})
+    with pytest.raises(SchemaError):
+        load_market({**document, "claims": [{**document["claims"][0], "label": ["a"]}]})
 
 
 def test_scale_submarket_positive_only(m2):

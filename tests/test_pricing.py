@@ -1,8 +1,11 @@
 import dataclasses
+import gc
+import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -136,8 +139,10 @@ def test_each_price_solves_one_lp_after_its_nfl_check(monkeypatch):
     for module in (lp_module, arbitrage, pricing):
         monkeypatch.setattr(module, "solve_lp", counted)
     for seed in range(6):
-        model = random_model(seed, arbitrage_free=True)
+        # a fresh load: the generator's own global check stays on its model
+        model = load_market(serialize_market(random_model(seed, arbitrage_free=True)))
         h = random_claim(random.Random(seed), model)
+        weight = MeasureSelector.max_ratio(model).weight
         for label in model.labels:
             calls.clear()
             price_submarket(model, h, label)
@@ -146,8 +151,47 @@ def test_each_price_solves_one_lp_after_its_nfl_check(monkeypatch):
         price_global(model, h)
         assert len(calls) == 2, seed  # deflator LP, global dual LP
         calls.clear()
-        price_fractional(model, h, MeasureSelector.max_ratio(model).weight)
+        price_fractional(model, h, weight)
         assert len(calls) == 1, seed
+
+        # the same calls again are answered by the model's memo
+        calls.clear()
+        for label in model.labels:
+            price_submarket(model, h, label)
+        price_global(model, h)
+        price_fractional(model, h, weight)
+        assert not calls, seed
+
+        # a second claim reuses the NFL results: one LP per venue
+        h2 = random_claim(random.Random(seed + 100), model)
+        for label in model.labels:
+            calls.clear()
+            price_submarket(model, h2, label)
+            assert len(calls) == 1, (seed, label)
+        calls.clear()
+        price_global(model, h2)
+        assert len(calls) == 1, seed
+
+
+def test_memo_lives_exactly_as_long_as_its_model(m2_path):
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    model = load_market(document)
+    twin = load_market({**document, "mode": "float"})
+    h = model.claim("Stau1").payoff
+    assert check_global_nfl(model).ok
+    assert price_global(model, h).price == F(15, 4)
+    assert model._memo and not twin._memo
+    # equal payoff keys, separate memos: each mode keeps its own numbers
+    assert type(price_global(twin, twin.claim("Stau1").payoff).price) is float
+    assert type(price_global(model, h).price) is F
+    assert model == load_market(document)  # the memo takes no part in equality
+    assert scale_submarket(model, "tau2", F(2))._memo == {}
+    assert dataclasses.replace(model, claims=())._memo == {}
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def _forge(monkeypatch, field):
