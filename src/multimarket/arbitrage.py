@@ -35,7 +35,7 @@ from .gains import (
 )
 from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, lp, solve_lp
 from .market import MarketModel
-from .numbers import Num
+from .numbers import FEAS_TOL, MEMBER_TOL, Num
 
 GLOBAL = "global"
 
@@ -58,14 +58,14 @@ class DeflatorCertificate:
                 value = self.xstar[a]
                 raise certificate_failure(exact, value, f"deflator {value} not positive at atom {a!r}")
         mean = sum(tree.atom_probs[a] * self.xstar[a] for a in tree.leaves)
-        if (mean != 1) if exact else abs(mean - 1) > 1e-9:
+        if (mean != 1) if exact else abs(mean - 1) > FEAS_TOL:
             raise certificate_failure(exact, mean, f"deflator mean {mean} != 1")
         for g in self.basis_checked:
             r = sum(
                 tree.atom_probs[a] * self.xstar[a] * g.payoff[k]
                 for k, a in enumerate(tree.leaves)
             )
-            if (r != 0) if exact else abs(r) > 1e-8:
+            if (r != 0) if exact else abs(r) > MEMBER_TOL:
                 raise certificate_failure(
                     exact, r, f"deflator not orthogonal to gain {g.submarket}/{g.node}/{g.asset}: {r}"
                 )
@@ -169,7 +169,7 @@ def deflator_cone_rows(model: MarketModel, scope: str = GLOBAL):
 def _witness_from_coeffs(
     model: MarketModel, basis: Sequence[GainAtom], coeffs: Sequence[Num], scope: str
 ) -> ArbitrageWitness | None:
-    tol = 0 if model.exact else 1e-9
+    tol = 0 if model.exact else FEAS_TOL
     strategy = strategy_from_coefficients(model, basis, coeffs)
     payoff = terminal_value(model, {}, strategy)
     values = [payoff[a] for a in model.tree.leaves]
@@ -243,7 +243,7 @@ def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertifi
         coeffs = [-y for y in out.farkas[: len(basis)]]
     elif out.status != OPTIMAL:
         raise NumericBreakdown(f"deflator LP returned {out.status}")
-    elif out.value <= (0 if model.exact else 1e-9):
+    elif out.value <= (0 if model.exact else FEAS_TOL):
         coeffs = out.row_duals[: len(basis)]
     else:
         t = out.x[-1]
@@ -339,7 +339,7 @@ def check_measure_membership(
     """
     tree = model.tree
     _require_positive(selector.weight)
-    tol = 0 if model.exact else 1e-8
+    tol = 0 if model.exact else MEMBER_TOL
     total = sum(q.get(a, 0) for a in tree.leaves)
     if any(q.get(a, 0) < -tol for a in tree.leaves) or abs(total - 1) > tol:
         return MembershipReport(member=False, residuals={}, equivalent=False)
@@ -356,7 +356,7 @@ def check_measure_membership(
             for k, a in enumerate(tree.leaves)
         )
         residuals[f"{g.submarket}/{g.node}/{g.asset}"] = r
-        violated = (r != 0) if model.exact else (abs(r) > 1e-8)
+        violated = (r != 0) if model.exact else (abs(r) > tol)
         if violated:
             member = False
     equivalent = member and all(q.get(a, 0) > 0 for a in tree.leaves)

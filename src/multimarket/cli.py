@@ -36,7 +36,7 @@ from .errors import (
 )
 from .generate import random_model
 from .market import MarketModel, load_market, serialize_market, validate_model
-from .numbers import format_sig12, parse_scalar, scalar_to_json
+from .numbers import GAP_TOL, format_sig12, parse_scalar, scalar_to_json
 from .pricing import (
     dual_bounds_global,
     dual_certificate_global,
@@ -253,6 +253,7 @@ def cmd_verify(args) -> int:
         if model.submarket(label).dim == 1:
             claims.setdefault(f"terminal:{label}", terminal_asset_claim(model, label))
 
+    slack = 0 if model.exact else GAP_TOL  # the slack of `dual_bounds_global`
     ordering = {}
     certificates = {}
     bounds = {}
@@ -264,7 +265,7 @@ def cmd_verify(args) -> int:
             "global": joint.price,
             "lower": lower.price,
             "upper": upper.price,
-            "ordered": joint.price <= lower.price <= upper.price,
+            "ordered": joint.price <= lower.price + slack and lower.price <= upper.price + slack,
         }
         lam = {
             lab: v for lab, v in joint.allocation.items() if v > 0
@@ -279,7 +280,7 @@ def cmd_verify(args) -> int:
             "lower": lo,
             "upper": hi,
             "price": joint.price,
-            "bracketed": lo <= joint.price <= hi,
+            "bracketed": lo <= joint.price + slack and joint.price <= hi + slack,
         }
 
     lemma = {}

@@ -10,14 +10,14 @@ the same exact values as over Fractions, so the pivot path is the same.
 Every outcome carries a certificate that is checked before returning:
 
 * optimal: primal and dual solutions with complementary slackness and a
-  zero (or TOL-bounded) duality gap,
+  zero (or FEAS_TOL-bounded) duality gap,
 * infeasible: a Farkas vector over the rows whose aggregate constraint no
   point within the variable bounds can satisfy,
 * unbounded: a feasible improving ray.
 
 Also hosts the linear-fractional program (ratio of two linear functionals
-over a polyhedral cone) and the normalization slice that makes it one plain
-LP.
+over a polyhedral cone), solved as one plain LP over its normalization
+slice.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DegenerateDenominator, NumericBreakdown
-from .numbers import Num
+from .numbers import FEAS_TOL, Num
 
 LE, EQ, GE = "<=", "==", ">="
 
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 _MAX_PIVOTS = 20000
-TOL = 1e-9  # float mode: feasibility, optimality and certificate slack
 
 
 @dataclass(frozen=True)
@@ -172,19 +171,12 @@ class _Standardizer:
         row[-1] = last
         return _int_row(row) if self.exact else (row, 1.0)
 
-    def to_user_x(self, u: Sequence[Num]) -> tuple[Num, ...]:
+    def to_user(self, u: Sequence[Num], point: bool = True) -> tuple[Num, ...]:
+        """The user variables of the standard point u; a direction (``point``
+        false) maps the same way without the bounds' shift."""
         out = []
         for j in range(len(self.prog.objective)):
-            v = self.shift[j]
-            for col, s in self.var_cols[j]:
-                v = v + s * u[col]
-            out.append(v)
-        return tuple(out)
-
-    def to_user_dir(self, u: Sequence[Num]) -> tuple[Num, ...]:
-        out = []
-        for j in range(len(self.prog.objective)):
-            v = self.zero
+            v = self.shift[j] if point else self.zero
             for col, s in self.var_cols[j]:
                 v = v + s * u[col]
             out.append(v)
@@ -425,9 +417,9 @@ def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
     return.  Float mode raises NumericBreakdown when verification fails."""
     std = _Standardizer(prog, exact)
     zero = std.zero
-    tab = _Tableau(std, 0 if exact else TOL)
+    tab = _Tableau(std, 0 if exact else FEAS_TOL)
     residue = tab.phase1()
-    feas_tol = 0 if exact else TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
+    feas_tol = 0 if exact else FEAS_TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
     if residue > feas_tol:
         y = _dual_from_basis(std, tab, phase1=True)
         if y is None:
@@ -444,7 +436,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
         for i in range(len(tab.rows)):
             if tab.row_alive[i] and tab.basis[i] < std.ncols:
                 ray_u[tab.basis[i]] = -tab.value(i, unbounded_col)
-        ray = std.to_user_dir(ray_u)
+        ray = std.to_user(ray_u, point=False)
         _verify_ray(prog, ray, exact)
         return LpOutcome(status=UNBOUNDED, ray=ray)
 
@@ -452,7 +444,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
     for i in range(len(tab.rows)):
         if tab.row_alive[i] and tab.basis[i] < std.ncols:
             u[tab.basis[i]] = tab.value(i, -1)
-    x = std.to_user_x(u)
+    x = std.to_user(u)
     value = _dot(prog.objective, x)
     y = _dual_from_basis(std, tab, phase1=False)
     if y is None:
@@ -505,7 +497,7 @@ def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
         u_num, u_den = _int_row(u)
         z, z_den = _int_row([yi / d for yi, d in zip(y, std.dens)])
     else:
-        t = TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
+        t = FEAS_TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
         u_num, u_den, z, z_den = u, 1.0, y, 1.0
     for i, row in enumerate(std.rows):
         residual = _dot(row, u_num) - row[-1] * u_den
@@ -517,7 +509,7 @@ def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
             raise NumericBreakdown(f"negative basic value u[{j}]={u[j]}")
         cj = std.cost[j]
         reduced = cj * z_den - std.cost_den * _dot([row[j] for row in std.rows], z)
-        if reduced < -(0 if exact else TOL * (1 + abs(cj))):
+        if reduced < -(0 if exact else FEAS_TOL * (1 + abs(cj))):
             shown = _value(reduced, std.cost_den * z_den, exact)
             raise NumericBreakdown(f"dual infeasible: reduced cost {shown} at col {j}")
         if exact and u_num[j] > 0 and reduced != 0:
@@ -525,7 +517,7 @@ def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
 
 
 def _verify_farkas(prog: LinearProgram, farkas, exact) -> None:
-    t = 0 if exact else TOL
+    t = 0 if exact else FEAS_TOL
     n = len(prog.objective)
     w = [0] * n
     delta = 0
@@ -557,7 +549,7 @@ def _verify_farkas(prog: LinearProgram, farkas, exact) -> None:
 
 
 def _verify_ray(prog: LinearProgram, ray, exact) -> None:
-    t = 0 if exact else TOL
+    t = 0 if exact else FEAS_TOL
     improving = _dot(prog.objective, ray)
     ok = improving < -t if prog.sense == "min" else improving > t
     if not ok:
@@ -587,19 +579,6 @@ class FractionalOutcome:
     witness: tuple[Num, ...] | None = None
 
 
-def fractional_program(numerator, denominator, cone_rows, sense="max") -> LinearProgram:
-    """The ratio num(X)/den(X) over {X >= 0, homogeneous cone rows} as a
-    plain LP: the ratio is constant along rays of the cone, so optimize num
-    over the normalized slice den(X) = 1, which is the last row."""
-    n = len(numerator)
-    for coeffs, _, rhs in cone_rows:
-        if rhs != 0:
-            raise ValueError("cone rows must be homogeneous (rhs 0)")
-        if len(coeffs) != n:
-            raise ValueError("cone row dimension mismatch")
-    return lp(sense, numerator, list(cone_rows) + [(denominator, EQ, 1)])
-
-
 def solve_fractional(
     numerator: Sequence[Num],
     denominator: Sequence[Num],
@@ -607,11 +586,18 @@ def solve_fractional(
     sense: str = "max",
     exact: bool = True,
 ) -> FractionalOutcome:
-    """Optimize the ratio program of `fractional_program`; the witness is
-    the normalized X.  The cone rows are homogeneous, so the slice is empty
-    exactly when the denominator is positive nowhere on the cone: that
-    raises DegenerateDenominator."""
-    out = solve_lp(fractional_program(numerator, denominator, cone_rows, sense), exact)
+    """Optimize the ratio num(X)/den(X) over {X >= 0, homogeneous cone
+    rows} as a plain LP: the ratio is constant along rays of the cone, so
+    optimize num over the normalized slice den(X) = 1.  The witness is the
+    normalized X.  The slice is empty exactly when the denominator is
+    positive nowhere on the cone: that raises DegenerateDenominator."""
+    n = len(numerator)
+    for coeffs, _, rhs in cone_rows:
+        if rhs != 0:
+            raise ValueError("cone rows must be homogeneous (rhs 0)")
+        if len(coeffs) != n:
+            raise ValueError("cone row dimension mismatch")
+    out = solve_lp(lp(sense, numerator, list(cone_rows) + [(denominator, EQ, 1)]), exact)
     if out.status == INFEASIBLE:
         raise DegenerateDenominator("denominator vanishes on the whole cone")
     if out.status == UNBOUNDED:

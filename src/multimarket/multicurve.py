@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gains import complete_self_financing, strategy_cost, terminal_value
 from .market import MarketModel, Submarket, make_model
-from .numbers import Num, parse_scalar
+from .numbers import FEAS_TOL, Num, parse_scalar
 from .tree import ScenarioTree
 
 
@@ -158,7 +158,7 @@ def common_measure_check(model: MarketModel, certificate: DeflatorCertificate) -
     }
     labels = list(measures)
     max_tv: Num = 0
-    tol = 0 if model.exact else 1e-9
+    tol = 0 if model.exact else FEAS_TOL
     for i, one in enumerate(labels):
         for other in labels[i + 1:]:
             tv = sum(

@@ -16,6 +16,12 @@ from .errors import SchemaError
 
 Num = Union[Fraction, float]
 
+# The float-mode tolerance policy; rational mode compares exactly.
+FEAS_TOL = 1e-9  # LP feasibility and optimality, probability sums, budgets
+MEMBER_TOL = 1e-8  # measure membership and orthogonality to gains
+GAP_TOL = 1e-7  # duality gaps, certificates and price bounds
+ZERO_TOL = 1e-12  # a witness entry this small counts as zero (boundary)
+
 
 def parse_scalar(raw, exact: bool = True) -> Num:
     """Parse a scalar from a document value.

@@ -20,7 +20,8 @@ from .numbers import Num
 
 MAX_ATOMS = 12
 MAX_GAINS = 10
-TERNARY_STEPS = 100
+GOLDEN_STEPS = 90
+INV_PHI = (5**0.5 - 1) / 2  # golden-section ratio
 
 
 @dataclass(frozen=True)
@@ -227,17 +228,30 @@ def _convex_min(g) -> float:
     """Minimum of a convex function of one real variable.
 
     Doubling widens the bracket while g still falls towards either end;
-    ternary steps then shrink it.  When the two probes tie, convexity puts
-    a minimiser between them, so the bracket keeps only that stretch."""
+    golden-section steps then shrink it, each reusing one probe of the step
+    before (Kiefer 1953).  When the two probes tie, convexity puts a
+    minimiser between them, so the bracket keeps only that stretch and
+    probes it afresh."""
     lo, hi = -1.0, 1.0
     while hi < 2.0**40 and g(hi) < g(hi / 2):
         hi *= 2
     while lo > -(2.0**40) and g(lo) < g(lo / 2):
         lo *= 2
-    for _ in range(TERNARY_STEPS):
-        m1, m2 = (2 * lo + hi) / 3, (lo + 2 * hi) / 3
-        v1, v2 = g(m1), g(m2)
-        lo, hi = (lo, m2) if v1 < v2 else (m1, hi) if v1 > v2 else (m1, m2)
+    m1, m2 = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
+    v1, v2 = g(m1), g(m2)
+    for _ in range(GOLDEN_STEPS):
+        if v1 < v2:
+            hi, m2, v2 = m2, m1, v1
+            m1 = hi - INV_PHI * (hi - lo)
+            v1 = g(m1)
+        elif v1 > v2:
+            lo, m1, v1 = m1, m2, v2
+            m2 = lo + INV_PHI * (hi - lo)
+            v2 = g(m2)
+        else:
+            lo, hi = m1, m2
+            m1, m2 = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
+            v1, v2 = g(m1), g(m2)
     return g((lo + hi) / 2)
 
 

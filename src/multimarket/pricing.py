@@ -3,10 +3,12 @@
 Four prices coexist because hedging can use one submarket, the cheapest
 submarket, every submarket separately, or all submarkets jointly with the
 initial wealth split between them (and no borrowing across the split).
-Every price solves one LP, over the matching weighted measure set, and reads
-the hedge from its row duals; a check that uses no LP code then proves both
-sides: the hedge dominates the claim, the witness lies in the measure set,
-and the gap is zero (exactly in rational mode).  Closed-form identities for
+Every venue price solves one LP of the same shape, over deflator-cone
+directions orthogonal to the venue's gains and within one budget row per
+funded submarket, and reads the hedge from its row duals; one check that
+uses no LP code then proves both sides: the hedge dominates the claim, the
+witness lies in the cone within its budget rows, and the gap is zero
+(exactly in rational mode).  Closed-form identities for
 one-dimensional submarkets, constant growth ratios, and the two-submarket
 case are evaluated against the LPs rather than assumed.
 """
@@ -20,7 +22,6 @@ from .arbitrage import (
     GLOBAL,
     MeasureSelector,
     check_global_nfl,
-    check_measure_membership,
     check_submarket_nfl,
     deflator_cone_rows,
     scope_basis,
@@ -41,9 +42,9 @@ from .gains import (
     strategy_from_coefficients,
     terminal_value,
 )
-from .lp import EQ, GE, LE, OPTIMAL, fractional_program, lp, solve_fractional, solve_lp
+from .lp import EQ, GE, LE, OPTIMAL, lp, solve_fractional, solve_lp
 from .market import Claim, MarketModel
-from .numbers import Num
+from .numbers import FEAS_TOL, GAP_TOL, MEMBER_TOL, ZERO_TOL, Num
 
 VENUE_GLOBAL = "global"
 VENUE_LOWER = "lower"
@@ -86,75 +87,52 @@ def terminal_asset_claim(model: MarketModel, label: str, asset: int = 0) -> dict
 
 def _gap(primal: Num, dual: Num, exact: bool) -> Num:
     gap = primal - dual
-    if (gap != 0) if exact else abs(gap) > 1e-7 * (1 + abs(primal)):
+    if (gap != 0) if exact else abs(gap) > GAP_TOL * (1 + abs(primal)):
         raise certificate_failure(exact, gap, f"duality gap {gap}")
     return gap
 
 
-def _measure_witness(model, selector_weight, cone_x) -> DualWitness:
-    """Map a normalized deflator-cone witness to its measure q = P X Z."""
-    tree = model.tree
-    values = {
-        a: tree.atom_probs[a] * cone_x[k] * selector_weight[a]
-        for k, a in enumerate(tree.leaves)
-    }
-    total = sum(values.values())
-    if total != 0:
-        values = {a: v / total for a, v in values.items()}
-    boundary = any(v == 0 for v in values.values()) if model.exact else any(
-        abs(v) <= 1e-12 for v in values.values()
-    )
-    return DualWitness(kind="measure", values=values, boundary=boundary)
-
-
-def _certify(model, h, scope, allocation, hedge, witness) -> tuple[Num, Num]:
+def _certify(model, h, scope, allocation, hedge, q) -> tuple[Num, Num]:
     """Check both sides of a price without the LP code; returns the value of
-    the witness and the duality gap.
+    the witness q (a deflator-cone direction P X over the atoms) and the
+    duality gap.
 
     1. The hedge, replayed from the allocation, dominates the claim on every
        atom; a joint-venue allocation is also nonnegative.
-    2. The witness lies in the closed measure set of the submarket `scope`,
-       or for the joint venue in the global deflator cone: nonnegative,
-       orthogonal to every gain and within every budget row.
-    3. The allocation's total equals the witness's value.
+    2. q is nonnegative, orthogonal to every gain of `scope` and meets the
+       budget row of every funded submarket: growth-weighted mass 1 for a
+       single submarket, at most 1 for each submarket of the joint venue.
+    3. The allocation's total equals the value of the claim under q.
 
-    Exact mode allows no slack; float mode the documented 1e-9 for
-    feasibility and 1e-8 for membership.
+    Exact mode allows no slack; float mode FEAS_TOL for feasibility and the
+    budgets and MEMBER_TOL for the cone.
     """
     exact = model.exact
-    feas, member = (0, 0) if exact else (1e-9, 1e-8)
-    tree = model.tree
+    joint = scope == GLOBAL
+    feas, member = (0, 0) if exact else (FEAS_TOL, MEMBER_TOL)
+    leaves = model.tree.leaves
     wealth = terminal_value(model, allocation, hedge)
-    for k, a in enumerate(tree.leaves):
+    for k, a in enumerate(leaves):
         short = h[k] - wealth[a]
         if short > feas * (1 + abs(h[k])):
             raise certificate_failure(exact, short, f"hedge misses the claim by {short} at {a!r}")
-    if scope == GLOBAL:
+    if joint:
         for lab, x in allocation.items():
             if x < -feas:
                 raise certificate_failure(exact, x, f"negative allocation {x} to {lab!r}")
-        q = [tree.atom_probs[a] * witness.values[a] for a in tree.leaves]
-        if any(v < -member for v in q):
-            raise certificate_failure(exact, min(q), f"cone witness {min(q)} is negative")
-        for g in scope_basis(model, GLOBAL):
-            r = sum(v * w for v, w in zip(g.payoff, q))
-            if abs(r) > member:
-                where = f"{g.submarket}/{g.node}/{g.asset}"
-                raise certificate_failure(exact, r, f"cone witness not orthogonal to gain {where}: {r}")
-        for lab in model.labels:
-            ratio = model.numeraire_ratio(lab)
-            mass = sum(ratio[a] * w for a, w in zip(tree.leaves, q))
-            if mass > 1 + feas:
-                raise certificate_failure(exact, mass, f"cone witness exceeds budget of {lab!r}: {mass}")
-        value = sum(v * w for v, w in zip(h, q))
-    else:
-        report = check_measure_membership(model, witness.values, MeasureSelector.hat(model, scope))
-        if not report.member:
-            raise certificate_failure(
-                exact, report.residuals, f"witness is not in the measure set of {scope!r}"
-            )
-        ratio = model.numeraire_ratio(scope)
-        value = sum(witness.values[a] * v / ratio[a] for a, v in zip(tree.leaves, h))
+    if any(v < -member for v in q):
+        raise certificate_failure(exact, min(q), f"cone witness {min(q)} is negative")
+    for g in scope_basis(model, scope):
+        r = sum(v * w for v, w in zip(g.payoff, q))
+        if abs(r) > member:
+            where = f"{g.submarket}/{g.node}/{g.asset}"
+            raise certificate_failure(exact, r, f"cone witness not orthogonal to gain {where}: {r}")
+    for lab in allocation:
+        ratio = model.numeraire_ratio(lab)
+        mass = sum(ratio[a] * w for a, w in zip(leaves, q))
+        if mass > 1 + feas or (not joint and mass < 1 - feas):
+            raise certificate_failure(exact, mass, f"cone witness misses the budget of {lab!r}: {mass}")
+    value = sum(v * w for v, w in zip(h, q))
     return value, _gap(sum(allocation.values()), value, exact)
 
 
@@ -172,52 +150,56 @@ def _require_global_nfl(model):
     return result.certificate
 
 
-def _solve_optimal(prog, model: MarketModel, name: str):
-    """The venue's one LP.  A model that passed its NFL check makes it
-    feasible and bounded, so any other status is a solver fault."""
-    out = solve_lp(prog, model.exact)
-    if out.status != OPTIMAL:
-        raise certificate_failure(model.exact, out.status, f"{name} is {out.status}")
-    return out
-
-
 def price_submarket(model: MarketModel, claim, label: str) -> PriceReport:
-    """Classical superreplication price hedging only inside one submarket.
-
-    One LP over the submarket's deflator cone, normalized by its numeraire
-    growth: maximize E[X H] subject to E[X ratio] = 1.  The optimum is the
-    supremum over the submarket's measure set, attained by the dual witness.
-    The row duals are the hedge: the normalization row's dual is the initial
-    capital x (of either sign), the cone rows' duals the gain coefficients,
-    so that x units of numeraire growth plus that zero-cost gain dominate
-    the claim.  `_certify` checks both sides.  Computed once per model,
-    submarket and payoff vector.
+    """Classical superreplication price hedging only inside one submarket:
+    the venue LP of `_price_venue` with one budget row, an equality, since
+    the submarket's initial capital may have either sign.  Its optimum is
+    the supremum over the submarket's measure set, and the witness is
+    reported as the attaining measure.  Computed once per model, submarket
+    and payoff vector.
     """
     _require_submarket_nfl(model, label)
     h = _payoff_vector(model, claim)
-    return model._memoized(("price_submarket", label, h), lambda: _price_submarket(model, h, label))
+    return model._memoized(("price_submarket", label, h), lambda: _price_venue(model, h, label))
 
 
-def _price_submarket(model: MarketModel, h: tuple[Num, ...], label: str) -> PriceReport:
-    tree = model.tree
-    ratio = model.numeraire_ratio(label)
-    probs = [tree.atom_probs[a] for a in tree.leaves]
-    prog = fractional_program(
-        [p * v for p, v in zip(probs, h)],
-        [p * ratio[a] for p, a in zip(probs, tree.leaves)],
-        deflator_cone_rows(model, label),
-    )
-    out = _solve_optimal(prog, model, f"measure LP in {label!r}")
-    *coeffs, capital = out.row_duals
-    allocation = {label: capital + 0}  # + 0: a float -0.0 dual reports as 0.0
-    hedge_risky = strategy_from_coefficients(model, scope_basis(model, label), coeffs)
+def _price_venue(model: MarketModel, h: tuple[Num, ...], scope: str) -> PriceReport:
+    """One LP over deflator-cone directions q = P X on the atoms: maximize
+    E[X H] = h.q subject to q orthogonal to every gain of `scope` and one
+    budget row E[X ratio] per funded submarket, == 1 for a single submarket
+    and <= 1 for each submarket of the joint venue.  A model that passed its
+    NFL check makes it feasible and bounded.  Its row duals are the hedge:
+    the budget rows' duals are the allocation and the gain rows' duals the
+    gain coefficients.  `_certify` checks both sides on the LP's own q.
+    """
+    leaves = model.tree.leaves
+    joint = scope == GLOBAL
+    labels = model.labels if joint else (scope,)
+    basis = scope_basis(model, scope)
+    rows = [(g.payoff, EQ, 0) for g in basis]
+    budget = LE if joint else EQ
+    rows += [([model.numeraire_ratio(lab)[a] for a in leaves], budget, 1) for lab in labels]
+    out = solve_lp(lp("max", h, rows), model.exact)
+    if out.status != OPTIMAL:
+        raise certificate_failure(model.exact, out.status, f"venue LP of {scope!r} is {out.status}")
+    nb = len(basis)
+    # + 0: a float -0.0 dual reports as 0.0
+    allocation = {lab: y + 0 for lab, y in zip(labels, out.row_duals[nb:])}
+    hedge_risky = strategy_from_coefficients(model, basis, out.row_duals[:nb])
     hedge = complete_self_financing(model, allocation, hedge_risky)
-    witness = _measure_witness(model, ratio, out.x)
-    dual_value, gap = _certify(model, h, label, allocation, hedge, witness)
+    q = out.x
+    dual_value, gap = _certify(model, h, scope, allocation, hedge, q)
+    if joint:
+        values = {a: v / model.tree.atom_probs[a] for a, v in zip(leaves, q)}
+    else:
+        ratio = model.numeraire_ratio(scope)
+        values = {a: ratio[a] * v for a, v in zip(leaves, q)}
+    boundary = any(v == 0 for v in q) if model.exact else any(abs(v) <= ZERO_TOL for v in q)
+    witness = DualWitness(kind="cone" if joint else "measure", values=values, boundary=boundary)
     return PriceReport(
-        venue=f"submarket:{label}",
+        venue=VENUE_GLOBAL if joint else f"submarket:{scope}",
         status="optimal",
-        price=allocation[label],
+        price=sum(allocation.values()),
         allocation=allocation,
         hedge=hedge,
         dual_value=dual_value,
@@ -261,49 +243,14 @@ def price_global(model: MarketModel, claim) -> PriceReport:
     terminal wealth.  The minimum is attained (polyhedral program); the
     report carries the attaining allocation and hedge.
 
-    One LP: maximize the claim's value over deflator-cone directions whose
-    growth-weighted mass stays within every submarket's budget row.  Its
-    row duals are the hedge: the budget rows' duals are the allocation and
-    the gain rows' duals the gain coefficients.  `_certify` checks both
-    sides.  Computed once per model and payoff vector.
+    The venue LP of `_price_venue` with one budget row per submarket, each
+    an inequality, since each allocation is nonnegative; the witness is
+    reported as the deflator direction X = q/P.  Computed once per model and
+    payoff vector.
     """
     _require_global_nfl(model)
     h = _payoff_vector(model, claim)
-    return model._memoized(("price_global", h), lambda: _price_global(model, h))
-
-
-def _price_global(model: MarketModel, h: tuple[Num, ...]) -> PriceReport:
-    tree = model.tree
-    labels = list(model.labels)
-    basis = scope_basis(model, GLOBAL)
-    rows = [(list(g.payoff), EQ, 0) for g in basis]
-    for lab in labels:
-        ratio = model.numeraire_ratio(lab)
-        rows.append(([ratio[a] for a in tree.leaves], LE, 1))
-    out = _solve_optimal(lp("max", h, rows), model, "global dual LP")
-    nb = len(basis)
-    # + 0: a float -0.0 dual reports as 0.0
-    allocation = {lab: y + 0 for lab, y in zip(labels, out.row_duals[nb:])}
-    hedge_risky = strategy_from_coefficients(model, basis, out.row_duals[:nb])
-    hedge = complete_self_financing(model, allocation, hedge_risky)
-    cone_values = {
-        a: out.x[k] / tree.atom_probs[a] for k, a in enumerate(tree.leaves)
-    }
-    boundary = any(v == 0 for v in out.x) if model.exact else any(
-        abs(v) <= 1e-12 for v in out.x
-    )
-    witness = DualWitness(kind="cone", values=cone_values, boundary=boundary)
-    dual_value, gap = _certify(model, h, GLOBAL, allocation, hedge, witness)
-    return PriceReport(
-        venue=VENUE_GLOBAL,
-        status="optimal",
-        price=sum(allocation.values()),
-        allocation=allocation,
-        hedge=hedge,
-        dual_value=dual_value,
-        dual_witness=witness,
-        duality_gap=gap,
-    )
+    return model._memoized(("price_global", h), lambda: _price_venue(model, h, GLOBAL))
 
 
 def price_fractional(
@@ -378,7 +325,7 @@ def dual_certificate_global(
     value = price_fractional(
         model, dict(zip(tree.leaves, residual)), selector.weight, scope=GLOBAL, sense="max"
     )
-    tol = 0 if model.exact else 1e-7
+    tol = 0 if model.exact else GAP_TOL
     if check and abs(value) > tol:
         raise CertificateViolation(value)
     return value
@@ -390,7 +337,7 @@ def dual_bounds_global(model: MarketModel, claim) -> tuple[Num, Num]:
     lower = price_fractional(model, claim, MeasureSelector.max_ratio(model).weight)
     upper = price_fractional(model, claim, MeasureSelector.min_ratio(model).weight)
     price = price_global(model, claim).price
-    tol = 0 if model.exact else 1e-7
+    tol = 0 if model.exact else GAP_TOL
     if not (lower <= price + tol and price <= upper + tol):
         raise certificate_failure(
             model.exact, price, f"bounds {lower}, {upper} miss price {price}"
@@ -518,7 +465,7 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
         ratio = model.numeraire_ratio(lab)
         hi = price_fractional(model, ratio, selector.weight, sense="max")
         lo = price_fractional(model, ratio, selector.weight, sense="min")
-        tol = 0 if model.exact else 1e-9
+        tol = 0 if model.exact else FEAS_TOL
         if abs(hi - lo) > tol:
             raise ConditionNotMet(
                 f"expected growth of {lab!r} varies over the measure set: [{lo}, {hi}]"

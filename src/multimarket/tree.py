@@ -19,7 +19,7 @@ from .errors import (
     ProbabilitySumMismatch,
     SchemaError,
 )
-from .numbers import Num, parse_scalar
+from .numbers import FEAS_TOL, Num, parse_scalar
 
 ROOT_ID = "r"
 
@@ -152,7 +152,7 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
     or an explicit node listing of ``(id, parent)`` pairs / ``{"id", "parent"}``
     dicts.  ``atom_probs`` maps leaf id to probability, or lists probabilities
     in leaf order.  Probabilities must be strictly positive and sum to one
-    (exactly in rational mode, within 1e-9 in float mode).
+    (exactly in rational mode, within `FEAS_TOL` in float mode).
     """
     if branching_spec and not isinstance(branching_spec[0], int):
         nodes = _explicit_nodes(branching_spec)
@@ -190,7 +190,7 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
     if exact:
         if total != 1:
             raise ProbabilitySumMismatch(f"atom probabilities sum to {total}, not 1")
-    elif abs(total - 1) > 1e-9:
+    elif abs(total - 1) > FEAS_TOL:
         raise ProbabilitySumMismatch(f"atom probabilities sum to {total}, not 1")
 
     atoms_under: dict[str, tuple[str, ...]] = {}

@@ -298,7 +298,7 @@ def test_cli_import_leaves_multicurve_unloaded():
 
 # SHA-256 of each `verify` exit code and stdout, over seeded random models
 # with one claim, in both modes: any changed report byte changes it.
-VERIFY_REPORT_DIGEST = "948ac7c0c555d0dba00c2d690ac9fd668c4fadd8f73113bab5aa37642616d375"
+VERIFY_REPORT_DIGEST = "328a90d43b58b3b23eca4a76ffdc94a745b628d8cd6329d979d7631b070069ea"
 
 
 def test_verify_report_digest(capsys, tmp_path):
@@ -314,6 +314,22 @@ def test_verify_report_digest(capsys, tmp_path):
             code, out = run_cli(capsys, "verify", str(spec))
             digest.update(f"{code}\n".encode() + out.encode())
     assert digest.hexdigest() == VERIFY_REPORT_DIGEST
+
+
+def test_float_verify_orders_and_brackets_within_the_bounds_slack(capsys, tmp_path):
+    # float prices that agree to every printed digit are ordered and
+    # bracketed: the flags allow the slack that `dual_bounds_global` allows
+    model = random_model(0)
+    claim = random_claim(random.Random(0), model)
+    document = serialize_market(model)
+    document["claims"] = [{"label": "H", "payoff": {a: str(v) for a, v in claim.items()}}]
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps({**document, "mode": "float"}))
+    code, out = run_cli(capsys, "verify", str(spec))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ordering"] and all(row["ordered"] for row in payload["ordering"].values())
+    assert payload["bounds"] and all(row["bracketed"] for row in payload["bounds"].values())
 
 
 def test_validate_non_utf8_file_is_unreadable(capsys, tmp_path):

@@ -223,7 +223,7 @@ def test_exact_pivots_keep_integer_rows_in_lowest_terms(monkeypatch):
 # both numeric modes. A different digest means a pivot path or an output
 # changed. `price_global` reuses the model's global NFL result from the
 # `check_global_nfl` call before it, so its deflator LP is not solved again.
-OUTCOME_DIGEST = "cb923b137c25381ccc4b99cc1f9b39c884a243d9e0ce0f047de9e8c9d15b15da"
+OUTCOME_DIGEST = "0ae7c4bd3a583b4131c11d909be0b2e2879546b4e75db2114d0b95785b398bb0"
 
 
 def test_outcome_digest(monkeypatch):

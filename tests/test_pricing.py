@@ -227,6 +227,27 @@ def test_forged_certificate_is_rejected(monkeypatch, m2, venue, field, message, 
             price_submarket(model, h, "tau1")
 
 
+@pytest.mark.parametrize("venue", ["submarket", "global"])
+@pytest.mark.parametrize("mode, error", [("rational", CertificateViolation), ("float", NumericBreakdown)])
+def test_witness_outside_its_budget_is_rejected(monkeypatch, m2, venue, mode, error):
+    # twice the LP's witness stays nonnegative and orthogonal to every gain;
+    # only a budget row can reject it
+    model = load_market({**serialize_market(m2), "mode": mode})
+    h = terminal_asset_claim(model, "tau1")
+    solve = pricing.solve_lp
+
+    def doubled(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        return dataclasses.replace(out, x=tuple(2 * v for v in out.x))
+
+    monkeypatch.setattr(pricing, "solve_lp", doubled)
+    with pytest.raises(error, match="budget"):
+        if venue == "global":
+            price_global(model, h)
+        else:
+            price_submarket(model, h, "tau1")
+
+
 _FORGED_UNDER_O = """
 import dataclasses, json, sys
 from multimarket import pricing
