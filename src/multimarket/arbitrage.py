@@ -162,10 +162,6 @@ def _orthogonality_rows(model: MarketModel, basis: Sequence[GainAtom]):
     ]
 
 
-def deflator_cone_rows(model: MarketModel, scope: str = GLOBAL):
-    return _orthogonality_rows(model, scope_basis(model, scope))
-
-
 def _witness_from_coeffs(
     model: MarketModel, basis: Sequence[GainAtom], coeffs: Sequence[Num], scope: str
 ) -> ArbitrageWitness | None:

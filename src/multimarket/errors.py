@@ -49,10 +49,6 @@ class NumericBreakdown(MarketError):
     """Float-mode solve failed verification; retry in rational mode."""
 
 
-class DegenerateDenominator(MarketError):
-    """The fractional program's denominator vanishes on the whole cone."""
-
-
 # --- arbitrage / pricing -------------------------------------------------
 
 class ArbitrageExists(MarketError):
@@ -82,6 +78,11 @@ def certificate_failure(exact: bool, value, message: str) -> MarketError:
     if exact:
         return CertificateViolation(value, message)
     return NumericBreakdown(message)
+
+
+class DegenerateDenominator(MarketError):
+    """A weighted measure set is empty: the slice E[X Z] = 1 misses the
+    deflator cone, which meets the nonnegative orthant only at 0."""
 
 
 class ConditionNotMet(MarketError):

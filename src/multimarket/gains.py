@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .lp import EQ, INFEASIBLE, lp, solve_lp
 from .market import MarketModel, discounted_prices
 from .numbers import Num
 
@@ -188,58 +187,3 @@ def strategy_cost(model: MarketModel, strategy: SimpleStrategy) -> dict[str, Num
         cost += strategy.numeraire[sub.label][root] * sub.numeraire[root]
         out[sub.label] = cost
     return out
-
-
-def strategy_wealth(model: MarketModel, strategy: SimpleStrategy) -> dict[str, Num]:
-    """Terminal wealth per atom of a completed strategy, by direct valuation
-    of the positions entering each leaf."""
-    if strategy.numeraire is None:
-        raise DimensionMismatch("strategy has no numeraire legs; complete it first")
-    tree = model.tree
-    out = {}
-    for leaf in tree.leaves:
-        parent = tree.node(leaf).parent
-        total = 0
-        for sub in model.submarkets:
-            phi = _positions(strategy.risky, sub.label, parent, sub.dim)
-            total += sum(p * s for p, s in zip(phi, sub.assets[leaf]))
-            total += strategy.numeraire[sub.label][parent] * sub.numeraire[leaf]
-        out[leaf] = total
-    return out
-
-
-def self_financing_residuals(model: MarketModel, strategy: SimpleStrategy) -> dict[str, Num]:
-    """Rebalancing-identity residual per (submarket, node); all zero for a
-    self-financed strategy."""
-    if strategy.numeraire is None:
-        raise DimensionMismatch("strategy has no numeraire legs; complete it first")
-    tree = model.tree
-    out = {}
-    for sub in model.submarkets:
-        for node_id in tree.nonterminal():
-            parent = tree.node(node_id).parent
-            if parent is None:
-                continue
-            prev_phi = _positions(strategy.risky, sub.label, parent, sub.dim)
-            cur_phi = _positions(strategy.risky, sub.label, node_id, sub.dim)
-            prev_val = sum(p * s for p, s in zip(prev_phi, sub.assets[node_id]))
-            prev_val += strategy.numeraire[sub.label][parent] * sub.numeraire[node_id]
-            cur_val = sum(p * s for p, s in zip(cur_phi, sub.assets[node_id]))
-            cur_val += strategy.numeraire[sub.label][node_id] * sub.numeraire[node_id]
-            out[f"{sub.label}/{node_id}"] = cur_val - prev_val
-    return out
-
-
-def in_span(
-    vectors: Sequence[Sequence[Num]],
-    target: Sequence[Num],
-    exact: bool = True,
-) -> bool:
-    """Feasibility of writing `target` as a linear combination of `vectors`."""
-    nvars = len(vectors)
-    rows = []
-    for k in range(len(target)):
-        coeffs = [vectors[j][k] for j in range(nvars)]
-        rows.append((coeffs, EQ, target[k]))
-    prog = lp("min", [0] * nvars, rows, bounds=[(None, None)] * nvars)
-    return solve_lp(prog, exact).status != INFEASIBLE

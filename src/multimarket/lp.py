@@ -14,10 +14,6 @@ Every outcome carries a certificate that is checked before returning:
 * infeasible: a Farkas vector over the rows whose aggregate constraint no
   point within the variable bounds can satisfy,
 * unbounded: a feasible improving ray.
-
-Also hosts the linear-fractional program (ratio of two linear functionals
-over a polyhedral cone), solved as one plain LP over its normalization
-slice.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import DegenerateDenominator, NumericBreakdown
+from .errors import NumericBreakdown
 from .numbers import FEAS_TOL, Num
 
 LE, EQ, GE = "<=", "==", ">="
@@ -568,38 +564,3 @@ def _verify_ray(prog: LinearProgram, ray, exact) -> None:
         if hi is not None and dj > t:
             raise NumericBreakdown("ray escapes an upper bound")
 
-
-# --- linear-fractional programs ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class FractionalOutcome:
-    status: str
-    value: Num | None = None
-    witness: tuple[Num, ...] | None = None
-
-
-def solve_fractional(
-    numerator: Sequence[Num],
-    denominator: Sequence[Num],
-    cone_rows: Sequence[tuple[Sequence[Num], str, Num]],
-    sense: str = "max",
-    exact: bool = True,
-) -> FractionalOutcome:
-    """Optimize the ratio num(X)/den(X) over {X >= 0, homogeneous cone
-    rows} as a plain LP: the ratio is constant along rays of the cone, so
-    optimize num over the normalized slice den(X) = 1.  The witness is the
-    normalized X.  The slice is empty exactly when the denominator is
-    positive nowhere on the cone: that raises DegenerateDenominator."""
-    n = len(numerator)
-    for coeffs, _, rhs in cone_rows:
-        if rhs != 0:
-            raise ValueError("cone rows must be homogeneous (rhs 0)")
-        if len(coeffs) != n:
-            raise ValueError("cone row dimension mismatch")
-    out = solve_lp(lp(sense, numerator, list(cone_rows) + [(denominator, EQ, 1)]), exact)
-    if out.status == INFEASIBLE:
-        raise DegenerateDenominator("denominator vanishes on the whole cone")
-    if out.status == UNBOUNDED:
-        return FractionalOutcome(status=UNBOUNDED)
-    return FractionalOutcome(status=OPTIMAL, value=out.value, witness=out.x)

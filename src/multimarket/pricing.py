@@ -3,14 +3,16 @@
 Four prices coexist because hedging can use one submarket, the cheapest
 submarket, every submarket separately, or all submarkets jointly with the
 initial wealth split between them (and no borrowing across the split).
-Every venue price solves one LP of the same shape, over deflator-cone
-directions orthogonal to the venue's gains and within one budget row per
-funded submarket, and reads the hedge from its row duals; one check that
-uses no LP code then proves both sides: the hedge dominates the claim, the
-witness lies in the cone within its budget rows, and the gap is zero
-(exactly in rational mode).  Closed-form identities for
-one-dimensional submarkets, constant growth ratios, and the two-submarket
-case are evaluated against the LPs rather than assumed.
+Every pricing quantity is one LP of the same shape, `_cone_lp`: optimize
+E[X H] over deflator-cone directions q = P X that are orthogonal to a
+scope's gains and meet some budget rows.  A venue price has one budget row
+per funded submarket and reads the hedge from its row duals; one check
+that uses no LP code then proves both sides: the hedge dominates the
+claim, the witness lies in the cone within its budget rows, and the gap is
+zero (exactly in rational mode).  The weighted measure-set extreme
+E[X H]/E[X Z] is the same LP over the slice E[X Z] = 1.  Closed-form
+identities for one-dimensional submarkets, constant growth ratios, and the
+two-submarket case are evaluated against the LPs rather than assumed.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from .arbitrage import (
     MeasureSelector,
     check_global_nfl,
     check_submarket_nfl,
-    deflator_cone_rows,
     scope_basis,
 )
 from .errors import (
     CertificateViolation,
     ConditionNotMet,
+    DegenerateDenominator,
     DimensionNotOne,
     GlobalArbitrage,
     NonPositiveWeight,
@@ -42,7 +44,7 @@ from .gains import (
     strategy_from_coefficients,
     terminal_value,
 )
-from .lp import EQ, GE, LE, OPTIMAL, lp, solve_fractional, solve_lp
+from .lp import EQ, INFEASIBLE, LE, OPTIMAL, lp, solve_lp
 from .market import Claim, MarketModel
 from .numbers import FEAS_TOL, GAP_TOL, MEMBER_TOL, ZERO_TOL, Num
 
@@ -160,26 +162,34 @@ def price_submarket(model: MarketModel, claim, label: str) -> PriceReport:
     """
     _require_submarket_nfl(model, label)
     h = _payoff_vector(model, claim)
-    return model._memoized(("price_submarket", label, h), lambda: _price_venue(model, h, label))
+    return model._memoized(
+        ("price_submarket", label, h), lambda: _price_venue(model, h, label, (label,))
+    )
 
 
-def _price_venue(model: MarketModel, h: tuple[Num, ...], scope: str) -> PriceReport:
-    """One LP over deflator-cone directions q = P X on the atoms: maximize
-    E[X H] = h.q subject to q orthogonal to every gain of `scope` and one
-    budget row E[X ratio] per funded submarket, == 1 for a single submarket
-    and <= 1 for each submarket of the joint venue.  A model that passed its
+def _cone_lp(model: MarketModel, h, scope: str, budgets, sense: str):
+    """The one LP behind every price: optimize E[X H] = h.q over deflator-cone
+    directions q = P X >= 0 on the atoms, with one row q.g == 0 per gain g of
+    `scope` and, after them, one row (w, rel, 1) per budget (w, rel)."""
+    rows = [(g.payoff, EQ, 0) for g in scope_basis(model, scope)]
+    rows += [(w, rel, 1) for w, rel in budgets]
+    return solve_lp(lp(sense, h, rows), model.exact)
+
+
+def _price_venue(model: MarketModel, h: tuple[Num, ...], scope: str, labels) -> PriceReport:
+    """The cone LP maximizing E[X H] with one budget row E[X ratio] per
+    funded label, == 1 for a single submarket and <= 1 for each funded
+    submarket of the joint venue (`scope` GLOBAL).  A model that passed its
     NFL check makes it feasible and bounded.  Its row duals are the hedge:
     the budget rows' duals are the allocation and the gain rows' duals the
     gain coefficients.  `_certify` checks both sides on the LP's own q.
     """
     leaves = model.tree.leaves
     joint = scope == GLOBAL
-    labels = model.labels if joint else (scope,)
     basis = scope_basis(model, scope)
-    rows = [(g.payoff, EQ, 0) for g in basis]
     budget = LE if joint else EQ
-    rows += [([model.numeraire_ratio(lab)[a] for a in leaves], budget, 1) for lab in labels]
-    out = solve_lp(lp("max", h, rows), model.exact)
+    budgets = [([model.numeraire_ratio(lab)[a] for a in leaves], budget) for lab in labels]
+    out = _cone_lp(model, h, scope, budgets, "max")
     if out.status != OPTIMAL:
         raise certificate_failure(model.exact, out.status, f"venue LP of {scope!r} is {out.status}")
     nb = len(basis)
@@ -250,7 +260,9 @@ def price_global(model: MarketModel, claim) -> PriceReport:
     """
     _require_global_nfl(model)
     h = _payoff_vector(model, claim)
-    return model._memoized(("price_global", h), lambda: _price_venue(model, h, GLOBAL))
+    return model._memoized(
+        ("price_global", h), lambda: _price_venue(model, h, GLOBAL, model.labels)
+    )
 
 
 def price_fractional(
@@ -260,9 +272,10 @@ def price_fractional(
     scope: str = GLOBAL,
     sense: str = "max",
 ) -> Num:
-    """Extreme of E_Q[H/Z] over the closed weighted measure set: computed as
-    the ratio program extreme of E[X H]/E[X Z] over the deflator cone.
-    Computed once per model, scope, sense, payoff vector and weight vector."""
+    """Extreme of E_Q[H/Z] over the closed weighted measure set: the extreme
+    of E[X H]/E[X Z] over the deflator cone, which is constant along its
+    rays, so the cone LP over the slice E[X Z] = 1.  Computed once per
+    model, scope, sense, payoff vector and weight vector."""
     tree = model.tree
     for atom in tree.leaves:
         if weight[atom] <= 0:
@@ -278,27 +291,12 @@ def price_fractional(
 def _price_fractional(
     model: MarketModel, h: tuple[Num, ...], z: tuple[Num, ...], scope: str, sense: str
 ) -> Num:
-    probs = [model.tree.atom_probs[a] for a in model.tree.leaves]
-    out = solve_fractional(
-        [p * v for p, v in zip(probs, h)],
-        [p * w for p, w in zip(probs, z)],
-        deflator_cone_rows(model, scope),
-        sense=sense,
-        exact=model.exact,
-    )
+    out = _cone_lp(model, h, scope, [(z, EQ)], sense)
+    if out.status == INFEASIBLE:
+        raise DegenerateDenominator("denominator vanishes on the whole cone")
+    if out.status != OPTIMAL:
+        raise certificate_failure(model.exact, out.status, f"fractional LP of {scope!r} is {out.status}")
     return out.value
-
-
-def fractional_reciprocal(model: MarketModel, claim, weight: Mapping[str, Num], scope: str = GLOBAL) -> Num:
-    """The reciprocal route to the same supremum, available when the claim is
-    strictly positive: one over the infimum of E_Q[Z/H] over the measure set
-    weighted by the claim itself."""
-    h = _payoff_vector(model, claim)
-    if any(v <= 0 for v in h):
-        raise NonPositiveWeight("reciprocal identity needs a strictly positive claim")
-    h_map = dict(zip(model.tree.leaves, h))
-    inf_value = price_fractional(model, dict(weight), h_map, scope=scope, sense="min")
-    return 1 / inf_value
 
 
 def dual_certificate_global(
@@ -306,7 +304,6 @@ def dual_certificate_global(
     claim,
     allocation: Mapping[str, Num],
     lam: Mapping[str, Num],
-    check: bool = True,
 ) -> Num:
     """Certificate of optimality for a global-venue allocation: the residual
     claim (claim minus funded numeraire legs), valued through the measure set
@@ -326,7 +323,7 @@ def dual_certificate_global(
         model, dict(zip(tree.leaves, residual)), selector.weight, scope=GLOBAL, sense="max"
     )
     tol = 0 if model.exact else GAP_TOL
-    if check and abs(value) > tol:
+    if abs(value) > tol:
         raise CertificateViolation(value)
     return value
 
@@ -459,7 +456,6 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
     """
     _require_global_nfl(model)
     selector = MeasureSelector.linear_combination(model, lam)
-    tree = model.tree
     c_values: dict[str, Num] = {}
     for lab in model.labels:
         ratio = model.numeraire_ratio(lab)
@@ -475,23 +471,12 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
     sup_h = price_fractional(model, claim, selector.weight, sense="max")
     price = sup_h / c_values[tau_max]
 
-    # funding constrained to tau_max, trading global: feasibility cross-check
-    h = _payoff_vector(model, claim)
-    basis = scope_basis(model, GLOBAL)
-    ratio_max = model.numeraire_ratio(tau_max)
-    rows = []
-    for k, atom in enumerate(tree.leaves):
-        coeffs = [ratio_max[atom]] + [g.payoff[k] for g in basis]
-        rows.append((coeffs, GE, h[k]))
-    bounds = [(0, None)] + [(None, None)] * len(basis)
-    concentrated = solve_lp(lp("min", [1] + [0] * len(basis), rows, bounds=bounds), model.exact)
-    if concentrated.status != OPTIMAL:
-        status = concentrated.status
-        raise certificate_failure(model.exact, status, f"concentrated funding LP is {status}")
+    # all funding in tau_max, trading global: the joint venue with its budget row alone
+    concentrated = _price_venue(model, _payoff_vector(model, claim), GLOBAL, (tau_max,))
     full = price_global(model, claim)
     if model.exact:
-        if concentrated.value != price:
-            value = concentrated.value
+        if concentrated.price != price:
+            value = concentrated.price
             raise CertificateViolation(value, f"concentrated funding LP {value} != shortcut {price}")
         if full.price != price:
             raise CertificateViolation(full.price, f"joint LP {full.price} != shortcut {price}")

@@ -14,12 +14,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from crosschecks import strategy_wealth
 from multimarket.arbitrage import (
     arbitrage_lp,
     check_global_nfl,
     check_submarket_nfl,
 )
-from multimarket.gains import strategy_cost, strategy_wealth
+from multimarket.gains import strategy_cost
 from multimarket.generate import (
     random_claim,
     random_complete_pair,

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from crosschecks import strategy_wealth
 from multimarket.arbitrage import (
     DeflatorCertificate,
     MeasureSelector,
@@ -22,7 +23,7 @@ from multimarket.errors import (
     NonPositiveWeight,
     NumericBreakdown,
 )
-from multimarket.gains import strategy_cost, strategy_wealth, terminal_value
+from multimarket.gains import strategy_cost, terminal_value
 from multimarket.generate import random_model
 from multimarket.market import Submarket, load_market, make_model, serialize_market
 from multimarket.oracle import enumerate_measure_vertices

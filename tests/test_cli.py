@@ -298,7 +298,7 @@ def test_cli_import_leaves_multicurve_unloaded():
 
 # SHA-256 of each `verify` exit code and stdout, over seeded random models
 # with one claim, in both modes: any changed report byte changes it.
-VERIFY_REPORT_DIGEST = "328a90d43b58b3b23eca4a76ffdc94a745b628d8cd6329d979d7631b070069ea"
+VERIFY_REPORT_DIGEST = "ba6fd387e1bdd2a274679674a693988e8edb5810bf114ecdd035cd5497f7496b"
 
 
 def test_verify_report_digest(capsys, tmp_path):

@@ -4,12 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from crosschecks import fractional_reciprocal
 from multimarket.arbitrage import check_global_nfl, martingale_measure
 from multimarket.errors import NonPositiveWeight
 from multimarket.market import Submarket, load_market, make_model
 from multimarket.pricing import (
     dual_bounds_global,
-    fractional_reciprocal,
     price_global,
     price_lower,
     price_submarket,

@@ -3,15 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from crosschecks import in_span, self_financing_residuals, strategy_wealth
 from multimarket.errors import UnknownSubmarket
 from multimarket.gains import (
     complete_self_financing,
     elementary_gains,
     global_gains,
-    in_span,
-    self_financing_residuals,
     strategy_cost,
-    strategy_wealth,
     terminal_value,
 )
 from multimarket.generate import random_model

@@ -3,13 +3,12 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multimarket import arbitrage, gains, pricing
+from multimarket import arbitrage, pricing
 from multimarket import lp as lp_module
-from multimarket.errors import DegenerateDenominator, MarketError
+from multimarket.errors import MarketError
 from multimarket.generate import random_claim, random_model
 from multimarket.market import load_market, serialize_market
 from multimarket.lp import (
@@ -19,7 +18,6 @@ from multimarket.lp import (
     OPTIMAL,
     UNBOUNDED,
     lp,
-    solve_fractional,
     solve_lp,
 )
 
@@ -101,55 +99,6 @@ def test_row_duals_price_the_rhs():
     out = solve_lp(lp("min", [3, 2], [([1, 1], GE, 4), ([1, 3], GE, 6)]))
     assert out.status == OPTIMAL
     assert out.value == sum(d * r for d, r in zip(out.row_duals, (4, 6)))
-
-
-def test_fractional_identical_functionals_give_one():
-    cone = [([F(1), F(-1)], "==", 0)]
-    num = [F(1, 2), F(1, 2)]
-    out = solve_fractional(num, num, cone)
-    assert out.value == 1
-
-
-def test_fractional_m2_cross_price(m2):
-    from multimarket.arbitrage import deflator_cone_rows
-
-    tree = m2.tree
-    probs = [tree.atom_probs[a] for a in tree.leaves]
-    h = [F(6), F(3)]
-    ratio2 = [F(6, 5), F(1)]
-    out = solve_fractional(
-        [p * v for p, v in zip(probs, h)],
-        [p * v for p, v in zip(probs, ratio2)],
-        deflator_cone_rows(m2),
-    )
-    assert out.value == F(15, 4)
-
-
-def test_fractional_complete_market_risk_neutral_price():
-    # single binary-market cone: 2 X_u = X_d, so E[XH]/E[X 1] is the unique
-    # risk-neutral expectation of H
-    cone = [([F(1, 2) * F(2), F(1, 2) * F(-1)], "==", 0)]
-    h = [F(6), F(3)]
-    num = [F(1, 2) * h[0], F(1, 2) * h[1]]
-    den = [F(1, 2), F(1, 2)]
-    out = solve_fractional(num, den, cone)
-    assert out.value == F(1, 3) * 6 + F(2, 3) * 3 == F(4)
-
-
-@given(st.integers(1, 40))
-def test_fractional_positively_homogeneous(c):
-    cone = [([F(1), F(-2)], "==", 0)]
-    num = [F(3, 4), F(1, 8)]
-    den = [F(1, 2), F(1, 2)]
-    base = solve_fractional(num, den, cone).value
-    scaled = solve_fractional([F(c) * v for v in num], den, cone).value
-    assert scaled == F(c) * base
-
-
-def test_degenerate_denominator():
-    cone = [([F(1), F(0)], "==", 0), ([F(0), F(1)], "==", 0)]
-    with pytest.raises(DegenerateDenominator):
-        solve_fractional([F(1), F(1)], [F(1), F(1)], cone)
 
 
 def test_float_mode_matches_exact_on_small_lp():
@@ -238,7 +187,7 @@ def test_outcome_digest(monkeypatch):
         return wrapper
 
     solve = recorded(lp_module.solve_lp)
-    for module in (lp_module, arbitrage, gains, pricing):
+    for module in (lp_module, arbitrage, pricing):
         monkeypatch.setattr(module, "solve_lp", solve)
 
     for seed in range(30):

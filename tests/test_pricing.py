@@ -13,26 +13,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import multimarket.arbitrage as arbitrage
+import multimarket.cli as cli
 import multimarket.lp as lp_module
 import multimarket.pricing as pricing
-from multimarket.arbitrage import MeasureSelector, check_global_nfl
+from conftest import desk_market_m2
+from crosschecks import fractional_reciprocal, strategy_wealth
+from multimarket.arbitrage import GLOBAL, MeasureSelector, check_global_nfl, scope_basis
 from multimarket.errors import (
     CertificateViolation,
     ConditionNotMet,
+    DegenerateDenominator,
     DimensionNotOne,
     GlobalArbitrage,
     NumericBreakdown,
     SubmarketArbitrage,
     WrongShape,
 )
-from multimarket.gains import strategy_wealth
 from multimarket.generate import random_claim, random_model
+from multimarket.lp import EQ, LE
 from multimarket.market import Submarket, load_market, make_model, scale_submarket, serialize_market
 from multimarket.pricing import (
     basis_swap_price,
     dual_bounds_global,
     dual_certificate_global,
-    fractional_reciprocal,
     one_dim_identity_suite,
     price_constant_ratio,
     price_fractional,
@@ -315,6 +318,92 @@ def test_price_fractional_and_reciprocal(m2):
     assert price_fractional(m2, h, ratio2) == F(15, 4)
     assert fractional_reciprocal(m2, h, ratio2) == F(15, 4)
     assert price_fractional(m2, dict(ratio2), ratio2) == 1
+
+
+def test_price_fractional_is_the_risk_neutral_price_on_a_complete_binary_model(m2):
+    # one binary step, asset 4 -> 6 or 3 under a unit numeraire: the unit
+    # weight leaves the unique risk-neutral measure (1/3, 2/3)
+    solo = make_model(m2.tree, [m2.submarket("tau1")])
+    unit = {a: F(1) for a in solo.tree.leaves}
+    h = {"r.0": F(6), "r.1": F(3)}
+    for sense in ("max", "min"):
+        assert price_fractional(solo, h, unit, sense=sense) == F(1, 3) * 6 + F(2, 3) * 3 == F(4)
+    assert price_fractional(solo, {"r.0": F(1), "r.1": F(0)}, unit) == F(1, 3)
+
+
+@given(st.integers(1, 40))
+def test_price_fractional_positively_homogeneous(c):
+    m2 = desk_market_m2()
+    h = terminal_asset_claim(m2, "tau1")
+    weight = m2.numeraire_ratio("tau2")
+    for scope in (GLOBAL, "tau1", "tau2"):
+        base = price_fractional(m2, h, weight, scope=scope)
+        scaled = price_fractional(m2, {a: F(c) * v for a, v in h.items()}, weight, scope=scope)
+        assert scaled == F(c) * base, scope
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_price_fractional_degenerate_denominator(m2, mode):
+    # the gain (1, 2) is positive on every atom, so the deflator cone meets
+    # the nonnegative orthant only at 0 and no slice E[X Z] = 1 exists
+    rising = Submarket(
+        "rising",
+        1,
+        {"r": (F(1),), "r.0": (F(2),), "r.1": (F(3),)},
+        {n: F(1) for n in m2.tree.nodes},
+    )
+    model = load_market({**serialize_market(make_model(m2.tree, [rising])), "mode": mode})
+    unit = {a: 1 for a in model.tree.leaves}
+    for scope in (GLOBAL, "rising"):
+        with pytest.raises(DegenerateDenominator):
+            price_fractional(model, unit, unit, scope=scope)
+
+
+def _cone_lp_shape(model, prog):
+    """Why `prog` is not a cone LP of `model`, or None: default bounds, one
+    column per atom, one scope's gain rows == 0, then budget rows == 1 or
+    <= 1 with right-hand side 1."""
+    n = len(model.tree.leaves)
+    if len(prog.objective) != n or prog.bounds != ((0, None),) * n:
+        return "not one nonnegative column per atom"
+    gains = [coeffs for coeffs, rel, rhs in prog.rows if (rel, rhs) == (EQ, 0)]
+    budgets = prog.rows[len(gains):]
+    bases = [[g.payoff for g in scope_basis(model, s)] for s in (GLOBAL, *model.labels)]
+    if gains not in bases:
+        return "leading rows are not one scope's gains"
+    if not budgets or any(rel not in (EQ, LE) or rhs != 1 for _, rel, rhs in budgets):
+        return "budget rows are not == 1 or <= 1"
+    return None
+
+
+def test_every_pricing_lp_of_verify_is_a_cone_lp(monkeypatch, capsys, tmp_path, m2_path):
+    received = []
+    solve = lp_module.solve_lp
+
+    def recorded(prog, exact):
+        received.append(prog)
+        return solve(prog, exact)
+
+    monkeypatch.setattr(pricing, "solve_lp", recorded)
+    with open(m2_path) as handle:
+        documents = [json.load(handle)]
+    for seed in (0, 1, 2, 3):
+        model = random_model(seed, arbitrage_free=True)
+        document = serialize_market(model)
+        claim = random_claim(random.Random(seed), model)
+        document["claims"] = [{"label": "H", "payoff": {a: str(v) for a, v in claim.items()}}]
+        documents.append(document)
+    for k, document in enumerate(documents):
+        for mode in ("rational", "float"):
+            spec = tmp_path / f"model{k}-{mode}.json"
+            spec.write_text(json.dumps({**document, "mode": mode}))
+            model = load_market(json.loads(spec.read_text()))
+            received.clear()
+            assert cli.main(["verify", str(spec)]) == 0
+            assert received, (k, mode)
+            faults = [_cone_lp_shape(model, prog) for prog in received]
+            assert faults == [None] * len(received), (k, mode)
+    capsys.readouterr()
 
 
 def test_one_dim_identity_suite_m2(m2):
