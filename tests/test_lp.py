@@ -101,6 +101,19 @@ def test_row_duals_price_the_rhs():
     assert out.value == sum(d * r for d, r in zip(out.row_duals, (4, 6)))
 
 
+def test_fractional_identical_functionals_give_one(m2):
+    # E[X Z]/E[X Z] is 1 on every ray of the cone
+    ratio2 = m2.numeraire_ratio("tau2")
+    for sense in ("max", "min"):
+        assert pricing.price_fractional(m2, dict(ratio2), ratio2, sense=sense) == 1
+
+
+def test_fractional_m2_cross_price(m2):
+    h = pricing.terminal_asset_claim(m2, "tau1")
+    assert h == {"r.0": F(6), "r.1": F(3)}
+    assert pricing.price_fractional(m2, h, m2.numeraire_ratio("tau2")) == F(15, 4)
+
+
 def test_float_mode_matches_exact_on_small_lp():
     rows = [([1.0, 2.0], LE, 7.0), ([3.0, 1.0], LE, 9.0)]
     out = solve_lp(lp("max", [2.0, 3.0], rows), exact=False)
