@@ -10,12 +10,18 @@ or an empty feasible set, yields an explicit arbitrage witness through LP
 duality.
 
 All martingale measures, state price deflators, and weighted measure sets
-are derived from that one common deflator.
+are derived from that one common deflator.  So is each submarket's
+certificate once the global check has passed: the global gains contain the
+submarket's, so the common deflator is checked against them and no
+submarket LP is solved.  In rational mode the certificate checks multiply
+integers only, over gain rows kept per scope as numerators over one
+denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -35,7 +41,7 @@ from .gains import (
 )
 from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, lp, solve_lp
 from .market import MarketModel
-from .numbers import FEAS_TOL, MEMBER_TOL, Num
+from .numbers import FEAS_TOL, MEMBER_TOL, Num, dot, int_row
 
 GLOBAL = "global"
 
@@ -57,17 +63,46 @@ class DeflatorCertificate:
             if not self.xstar[a] > 0:
                 value = self.xstar[a]
                 raise certificate_failure(exact, value, f"deflator {value} not positive at atom {a!r}")
+        if exact:
+            self._verify_integers(model)
+            return
         mean = sum(tree.atom_probs[a] * self.xstar[a] for a in tree.leaves)
-        if (mean != 1) if exact else abs(mean - 1) > FEAS_TOL:
+        if abs(mean - 1) > FEAS_TOL:
             raise certificate_failure(exact, mean, f"deflator mean {mean} != 1")
         for g in self.basis_checked:
             r = sum(
                 tree.atom_probs[a] * self.xstar[a] * g.payoff[k]
                 for k, a in enumerate(tree.leaves)
             )
-            if (r != 0) if exact else abs(r) > MEMBER_TOL:
+            if abs(r) > MEMBER_TOL:
                 raise certificate_failure(
                     exact, r, f"deflator not orthogonal to gain {g.submarket}/{g.node}/{g.asset}: {r}"
+                )
+
+    def _verify_integers(self, model: MarketModel) -> None:
+        """The exact mean and orthogonality checks on w = P X* held as
+        integers over one denominator; a Fraction is built only to report a
+        failure."""
+        tree = model.tree
+        leaves = tree.leaves
+        pn, pd = model._memoized(("int_probs",), lambda: int_row([tree.atom_probs[a] for a in leaves]))
+        xn, xd = int_row([self.xstar[a] for a in leaves])
+        w = [p * x for p, x in zip(pn, xn)]
+        den = pd * xd
+        if sum(w) != den:
+            mean = Fraction(sum(w), den)
+            raise certificate_failure(True, mean, f"deflator mean {mean} != 1")
+        basis = self.basis_checked
+        if basis is scope_basis(model, self.scope):
+            rows = int_gains(model, self.scope)
+        else:
+            rows = [int_row(g.payoff) for g in basis]
+        for g, (gn, gd) in zip(basis, rows):
+            r = dot(gn, w)
+            if r:
+                r = Fraction(r, gd * den)
+                raise certificate_failure(
+                    True, r, f"deflator not orthogonal to gain {g.submarket}/{g.node}/{g.asset}: {r}"
                 )
 
 
@@ -150,6 +185,19 @@ def scope_basis(model: MarketModel, scope: str) -> tuple[GainAtom, ...]:
     if scope == GLOBAL:
         return global_gains(model)
     return elementary_gains(model, scope)
+
+
+def int_gains(model: MarketModel, scope: str) -> tuple[tuple[list[int], int], ...]:
+    """Exact mode: each gain of `scope_basis(model, scope)`, in order, as
+    integer numerators over one positive denominator, so that certificate
+    checks multiply integers only.  Computed once per model and scope."""
+
+    def compute():
+        if scope == GLOBAL:
+            return tuple(r for label in model.labels for r in int_gains(model, label))
+        return tuple(int_row(g.payoff) for g in elementary_gains(model, scope))
+
+    return model._memoized(("int_gains", scope), compute)
 
 
 def _orthogonality_rows(model: MarketModel, basis: Sequence[GainAtom]):
@@ -264,12 +312,27 @@ def check_global_nfl(model: MarketModel) -> NflResult:
 
 
 def check_submarket_nfl(model: MarketModel, label: str) -> NflResult:
-    """No free lunch inside one submarket.  Computed once per model."""
+    """No free lunch inside one submarket.  Computed once per model.
+
+    When the model already holds a passing global result, the common
+    deflator is the submarket's certificate too (the global gains contain
+    the submarket's), so it is checked against the submarket's gains and
+    returned without an LP.  Otherwise the submarket solves its own LP; it
+    never triggers the global check."""
     model.submarket(label)
     return model._memoized(("nfl", label), lambda: _check_nfl(model, label))
 
 
 def _check_nfl(model: MarketModel, scope: str) -> NflResult:
+    common = model._memo.get(("nfl", GLOBAL)) if scope != GLOBAL else None
+    if common is not None and common.ok:
+        certificate = DeflatorCertificate(
+            scope=scope,
+            xstar=common.certificate.xstar,
+            basis_checked=scope_basis(model, scope),
+        )
+        certificate.verify(model)
+        return NflResult(ok=True, certificate=certificate)
     try:
         return NflResult(ok=True, certificate=extract_deflator(model, scope))
     except ArbitrageExists as exc:

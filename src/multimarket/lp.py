@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import NumericBreakdown
-from .numbers import FEAS_TOL, Num
+from .numbers import FEAS_TOL, Num, dot, int_row
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -165,7 +165,7 @@ class _Standardizer:
         for col, v in entries:
             row[col] = v
         row[-1] = last
-        return _int_row(row) if self.exact else (row, 1.0)
+        return int_row(row) if self.exact else (row, 1.0)
 
     def to_user(self, u: Sequence[Num], point: bool = True) -> tuple[Num, ...]:
         """The user variables of the standard point u; a direction (``point``
@@ -177,13 +177,6 @@ class _Standardizer:
                 v = v + s * u[col]
             out.append(v)
         return tuple(out)
-
-
-def _int_row(values: list[Fraction]) -> tuple[list[int], int]:
-    """Numerators over the least common denominator, which leaves them in
-    lowest terms."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _value(num, den, exact: bool) -> Num:
@@ -401,13 +394,6 @@ def _solve_square(matrix: list[list[Num]], rhs: list[Num], tol, exact: bool) -> 
     return [_value(a[i][n], dens[i], exact) for i in range(n)]
 
 
-def _dot(a, b):
-    total = 0
-    for ai, bi in zip(a, b):
-        total += ai * bi
-    return total
-
-
 def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
     """Solve with fixed deterministic pivoting; certificates verified before
     return.  Float mode raises NumericBreakdown when verification fails."""
@@ -441,7 +427,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
         if tab.row_alive[i] and tab.basis[i] < std.ncols:
             u[tab.basis[i]] = tab.value(i, -1)
     x = std.to_user(u)
-    value = _dot(prog.objective, x)
+    value = dot(prog.objective, x)
     y = _dual_from_basis(std, tab, phase1=False)
     if y is None:
         raise NumericBreakdown("cannot recover dual solution")
@@ -490,13 +476,13 @@ def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
     that is a positive multiple of the quantity it checks."""
     if exact:
         t = 0
-        u_num, u_den = _int_row(u)
-        z, z_den = _int_row([yi / d for yi, d in zip(y, std.dens)])
+        u_num, u_den = int_row(u)
+        z, z_den = int_row([yi / d for yi, d in zip(y, std.dens)])
     else:
         t = FEAS_TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
         u_num, u_den, z, z_den = u, 1.0, y, 1.0
     for i, row in enumerate(std.rows):
-        residual = _dot(row, u_num) - row[-1] * u_den
+        residual = dot(row, u_num) - row[-1] * u_den
         if abs(residual) > t:
             shown = _value(residual, std.dens[i] * u_den, exact)
             raise NumericBreakdown(f"primal residual {shown} on row {i}")
@@ -504,7 +490,7 @@ def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
         if u_num[j] < -t:
             raise NumericBreakdown(f"negative basic value u[{j}]={u[j]}")
         cj = std.cost[j]
-        reduced = cj * z_den - std.cost_den * _dot([row[j] for row in std.rows], z)
+        reduced = cj * z_den - std.cost_den * dot([row[j] for row in std.rows], z)
         if reduced < -(0 if exact else FEAS_TOL * (1 + abs(cj))):
             shown = _value(reduced, std.cost_den * z_den, exact)
             raise NumericBreakdown(f"dual infeasible: reduced cost {shown} at col {j}")
@@ -546,12 +532,12 @@ def _verify_farkas(prog: LinearProgram, farkas, exact) -> None:
 
 def _verify_ray(prog: LinearProgram, ray, exact) -> None:
     t = 0 if exact else FEAS_TOL
-    improving = _dot(prog.objective, ray)
+    improving = dot(prog.objective, ray)
     ok = improving < -t if prog.sense == "min" else improving > t
     if not ok:
         raise NumericBreakdown(f"ray does not improve objective ({improving})")
     for coeffs, rel, _ in prog.rows:
-        d = _dot(coeffs, ray)
+        d = dot(coeffs, ray)
         if rel == LE and d > t:
             raise NumericBreakdown("ray escapes a <= row")
         if rel == GE and d < -t:

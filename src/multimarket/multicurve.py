@@ -96,6 +96,8 @@ def numeraire_from_rates(tree: ScenarioTree, rates: RateStructure, label: str) -
     initial = 1
     if rates.initial_numeraire is not None:
         initial = rates.initial_numeraire.get(label, 1)
+    # the tree's numeric type: an int root would make int/int quotients floats
+    initial = parse_scalar(initial, tree.exact)
     out: dict[str, Num] = {}
     for node_id in tree.nodes:
         node = tree.nodes[node_id]

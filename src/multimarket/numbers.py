@@ -10,7 +10,8 @@ document to every LP solved downstream.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Sequence, Union
 
 from .errors import SchemaError
 
@@ -66,3 +67,17 @@ def scalar_to_json(value: Num):
 def format_sig12(value: Num) -> str:
     """Fixed 12-significant-digit text form used for scalar CLI output."""
     return f"{float(value):.12g}"
+
+
+def int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators over the least common denominator, which leaves them in
+    lowest terms.  Ints count as rationals over 1."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def dot(a, b):
+    total = 0
+    for ai, bi in zip(a, b):
+        total += ai * bi
+    return total

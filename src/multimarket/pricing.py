@@ -18,6 +18,7 @@ two-submarket case are evaluated against the LPs rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 from .arbitrage import (
@@ -25,6 +26,7 @@ from .arbitrage import (
     MeasureSelector,
     check_global_nfl,
     check_submarket_nfl,
+    int_gains,
     scope_basis,
 )
 from .errors import (
@@ -46,7 +48,7 @@ from .gains import (
 )
 from .lp import EQ, INFEASIBLE, LE, OPTIMAL, lp, solve_lp
 from .market import Claim, MarketModel
-from .numbers import FEAS_TOL, GAP_TOL, MEMBER_TOL, ZERO_TOL, Num
+from .numbers import FEAS_TOL, GAP_TOL, MEMBER_TOL, ZERO_TOL, Num, dot, int_row
 
 VENUE_GLOBAL = "global"
 VENUE_LOWER = "lower"
@@ -124,18 +126,53 @@ def _certify(model, h, scope, allocation, hedge, q) -> tuple[Num, Num]:
                 raise certificate_failure(exact, x, f"negative allocation {x} to {lab!r}")
     if any(v < -member for v in q):
         raise certificate_failure(exact, min(q), f"cone witness {min(q)} is negative")
-    for g in scope_basis(model, scope):
-        r = sum(v * w for v, w in zip(g.payoff, q))
-        if abs(r) > member:
-            where = f"{g.submarket}/{g.node}/{g.asset}"
-            raise certificate_failure(exact, r, f"cone witness not orthogonal to gain {where}: {r}")
-    for lab in allocation:
-        ratio = model.numeraire_ratio(lab)
-        mass = sum(ratio[a] * w for a, w in zip(leaves, q))
-        if mass > 1 + feas or (not joint and mass < 1 - feas):
-            raise certificate_failure(exact, mass, f"cone witness misses the budget of {lab!r}: {mass}")
-    value = sum(v * w for v, w in zip(h, q))
+    if exact:
+        value = _cone_checks_exact(model, h, scope, allocation, q)
+    else:
+        for g in scope_basis(model, scope):
+            r = sum(v * w for v, w in zip(g.payoff, q))
+            if abs(r) > member:
+                where = f"{g.submarket}/{g.node}/{g.asset}"
+                raise certificate_failure(exact, r, f"cone witness not orthogonal to gain {where}: {r}")
+        for lab in allocation:
+            ratio = model.numeraire_ratio(lab)
+            mass = sum(ratio[a] * w for a, w in zip(leaves, q))
+            if mass > 1 + feas or (not joint and mass < 1 - feas):
+                raise certificate_failure(exact, mass, f"cone witness misses the budget of {lab!r}: {mass}")
+        value = sum(v * w for v, w in zip(h, q))
     return value, _gap(sum(allocation.values()), value, exact)
+
+
+def _cone_checks_exact(model, h, scope, allocation, q) -> Fraction:
+    """Step 2's orthogonality and budget rows and step 3's value of
+    `_certify` in rational mode, as integer dot products against q held as
+    integers over one denominator; a Fraction is built only for the value
+    and to report a failure."""
+    qn, qd = int_row(q)
+    for g, (gn, gd) in zip(scope_basis(model, scope), int_gains(model, scope)):
+        r = dot(gn, qn)
+        if r:
+            r = Fraction(r, gd * qd)
+            where = f"{g.submarket}/{g.node}/{g.asset}"
+            raise certificate_failure(True, r, f"cone witness not orthogonal to gain {where}: {r}")
+    joint = scope == GLOBAL
+    for lab in allocation:
+        rn, rd = _int_ratio(model, lab)
+        mass, unit = dot(rn, qn), rd * qd
+        if mass > unit or (not joint and mass < unit):
+            mass = Fraction(mass, unit)
+            raise certificate_failure(True, mass, f"cone witness misses the budget of {lab!r}: {mass}")
+    hn, hd = int_row(h)
+    return Fraction(dot(hn, qn), hd * qd)
+
+
+def _int_ratio(model: MarketModel, label: str) -> tuple[list[int], int]:
+    """The submarket's growth ratio over the atoms as integers over one
+    denominator (rational mode).  Computed once per model and label."""
+    ratio = model.numeraire_ratio(label)
+    return model._memoized(
+        ("int_ratio", label), lambda: int_row([ratio[a] for a in model.tree.leaves])
+    )
 
 
 def _require_submarket_nfl(model, label):
@@ -453,6 +490,9 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
     The constancy hypothesis is verified by solving the max and the min of
     each expectation and comparing; ConditionNotMet is raised otherwise
     (callers can fall back to price_global, which is also the cross-check).
+    The concentrated-funding LP and the joint LP must both price the claim
+    at the shortcut: exactly in rational mode, within GAP_TOL (1 + |price|)
+    in float mode.
     """
     _require_global_nfl(model)
     selector = MeasureSelector.linear_combination(model, lam)
@@ -474,12 +514,10 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
     # all funding in tau_max, trading global: the joint venue with its budget row alone
     concentrated = _price_venue(model, _payoff_vector(model, claim), GLOBAL, (tau_max,))
     full = price_global(model, claim)
-    if model.exact:
-        if concentrated.price != price:
-            value = concentrated.price
-            raise CertificateViolation(value, f"concentrated funding LP {value} != shortcut {price}")
-        if full.price != price:
-            raise CertificateViolation(full.price, f"joint LP {full.price} != shortcut {price}")
+    tol = 0 if model.exact else GAP_TOL * (1 + abs(price))
+    for name, value in (("concentrated funding LP", concentrated.price), ("joint LP", full.price)):
+        if abs(value - price) > tol:
+            raise certificate_failure(model.exact, value, f"{name} {value} != shortcut {price}")
     return ConstantRatioReport(
         price=price,
         tau_max=tau_max,

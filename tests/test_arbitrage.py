@@ -1,7 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
+
+import multimarket.arbitrage as arbitrage
 
 from crosschecks import strategy_wealth
 from multimarket.arbitrage import (
@@ -87,9 +90,7 @@ def test_m2_global_certificate(m2):
     res.certificate.verify(m2)
 
 
-def test_extract_deflator_solves_one_lp(monkeypatch):
-    import multimarket.arbitrage as arbitrage
-
+def _count_lps(monkeypatch):
     calls = []
     solve = arbitrage.solve_lp
 
@@ -98,6 +99,11 @@ def test_extract_deflator_solves_one_lp(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(arbitrage, "solve_lp", counted)
+    return calls
+
+
+def test_extract_deflator_solves_one_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
     verdicts = set()
     for seed in range(12):
         model = random_model(seed, atoms=6)
@@ -110,6 +116,47 @@ def test_extract_deflator_solves_one_lp(monkeypatch):
                 verdicts.add(False)
             assert len(calls) == 1, (seed, scope)
     assert verdicts == {True, False}
+
+
+def test_submarket_certificate_after_a_passing_global_check_is_the_common_deflator(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    for seed in range(6):
+        model = load_market(serialize_market(random_model(seed, arbitrage_free=True)))
+        common = check_global_nfl(model).certificate
+        calls.clear()
+        for label in model.labels:
+            res = check_submarket_nfl(model, label)
+            assert res.ok
+            assert res.certificate.xstar is common.xstar
+            assert res.certificate.scope == label
+            assert res.certificate.basis_checked == scope_basis(model, label)
+        assert not calls, seed
+
+
+def test_submarket_check_on_a_fresh_model_solves_its_own_lp(monkeypatch, m2, m1):
+    calls = _count_lps(monkeypatch)
+    for label in m2.labels:
+        calls.clear()
+        assert check_submarket_nfl(m2, label).ok
+        assert len(calls) == 1, label
+    # global arbitrage, clean submarkets: the common deflator does not exist
+    assert not check_global_nfl(m1).ok
+    for label in m1.labels:
+        calls.clear()
+        assert check_submarket_nfl(m1, label).ok
+        assert len(calls) == 1, label
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_submarket_verdicts_do_not_depend_on_call_order(mode):
+    for seed in range(200):
+        document = {**serialize_market(random_model(seed)), "mode": mode}
+        global_first, submarkets_first = load_market(document), load_market(document)
+        check_global_nfl(global_first)
+        after = [check_submarket_nfl(global_first, lab).ok for lab in global_first.labels]
+        before = [check_submarket_nfl(submarkets_first, lab).ok for lab in submarkets_first.labels]
+        assert after == before, seed
+        assert check_global_nfl(submarkets_first).ok == check_global_nfl(global_first).ok
 
 
 def _negative_certificate(model):
@@ -126,6 +173,37 @@ def test_negative_deflator_is_rejected(m2):
     float_m2 = load_market({**serialize_market(m2), "mode": "float"})
     with pytest.raises(NumericBreakdown):
         _negative_certificate(float_m2).verify(float_m2)
+
+
+def test_integer_deflator_check_reports_what_the_fraction_sums_report():
+    model = random_model(0, atoms=36, periods=1, submarkets=2, arbitrage_free=True)
+    common = check_global_nfl(model).certificate
+    tree = model.tree
+    a0, a1 = tree.leaves[:2]
+    eps = F(1, 10**40)
+
+    # one entry nudged: the mean misses 1
+    xstar = {**common.xstar, a0: common.xstar[a0] + eps}
+    mean = sum(tree.atom_probs[a] * xstar[a] for a in tree.leaves)
+    with pytest.raises(CertificateViolation) as err:
+        dataclasses.replace(common, xstar=xstar).verify(model)
+    assert str(err.value) == f"deflator mean {mean} != 1"
+    assert err.value.value == mean
+
+    # a second entry nudged back by the same mass: the mean holds, a gain fails
+    xstar[a1] = common.xstar[a1] - eps * tree.atom_probs[a0] / tree.atom_probs[a1]
+    for k, g in enumerate(common.basis_checked):
+        r = sum(tree.atom_probs[a] * xstar[a] * g.payoff[i] for i, a in enumerate(tree.leaves))
+        if r != 0:
+            break
+    assert r != 0
+    message = f"deflator not orthogonal to gain {g.submarket}/{g.node}/{g.asset}: {r}"
+    # the scope's own basis (integer rows from the memo) and a basis of its own
+    for basis in (common.basis_checked, common.basis_checked[k:]):
+        with pytest.raises(CertificateViolation) as err:
+            dataclasses.replace(common, xstar=xstar, basis_checked=basis).verify(model)
+        assert str(err.value) == message
+        assert err.value.value == r and type(err.value.value) is F
 
 
 def test_m1_cross_market_arbitrage(m1):

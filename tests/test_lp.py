@@ -184,8 +184,10 @@ def test_exact_pivots_keep_integer_rows_in_lowest_terms(monkeypatch):
 # SHA-256 of repr(LpOutcome), in call order, over every solve made below, in
 # both numeric modes. A different digest means a pivot path or an output
 # changed. `price_global` reuses the model's global NFL result from the
-# `check_global_nfl` call before it, so its deflator LP is not solved again.
-OUTCOME_DIGEST = "0ae7c4bd3a583b4131c11d909be0b2e2879546b4e75db2114d0b95785b398bb0"
+# `check_global_nfl` call before it, so its deflator LP is not solved again;
+# where that result passed, each `price_submarket` takes its submarket
+# certificate from the common deflator and solves only its venue LP.
+OUTCOME_DIGEST = "56aaaa3688e9dffb49c54a556a72a57cc711be00babcf32342d6c62332452078"
 
 
 def test_outcome_digest(monkeypatch):

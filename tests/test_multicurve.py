@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multimarket.arbitrage import check_global_nfl
+from multimarket.gains import elementary_gains
+from multimarket.market import discounted_prices
 from multimarket.errors import (
     BadMaturities,
     NonPositiveAccumulation,
@@ -99,6 +101,27 @@ def test_stochastic_rate_deterministic_spreads_share_one_measure():
     report = common_measure_check(model, result.certificate)
     assert report.common
     assert report.max_tv_distance == 0
+
+
+def test_exact_tenor_market_holds_rationals():
+    # an int initial level and int asset values: int/int quotients would be
+    # floats, and the "exact" deflator a binary approximation
+    tree = build_tree([2], ["1/2", "1/2"])
+    rates = RateStructure(
+        base_rate={"r": F(1, 10)}, spreads={"a": {"r": F(0)}}, initial_numeraire={"a": 3}
+    )
+    model = build_tenor_market(tree, rates, {"a": {"r": (1,), "r.0": (2,), "r.1": (F(1, 2),)}})
+    prices = discounted_prices(model, "a")
+    assert prices["r"] == (F(1, 3),)
+    assert all(type(v) is F for values in prices.values() for v in values)
+    assert all(type(v) is F for g in elementary_gains(model, "a") for v in g.payoff)
+    result = check_global_nfl(model)
+    assert dict(result.certificate.xstar) == {"r.0": F(4, 5), "r.1": F(6, 5)}
+
+    # the default initial level 1, numeraire-only tenors
+    rates = RateStructure(base_rate={"r": F(1, 10)}, spreads={"b": {"r": F(0)}})
+    quoted = build_tenor_market(tree, rates, {})
+    assert all(type(v) is F for values in discounted_prices(quoted, "b").values() for v in values)
 
 
 def test_m2_measures_are_distinct(m2):

@@ -175,6 +175,15 @@ def test_each_price_solves_one_lp_after_its_nfl_check(monkeypatch):
         price_global(model, h2)
         assert len(calls) == 1, seed
 
+        # after the global check the submarkets take the common deflator:
+        # each submarket price solves only its venue LP
+        model = load_market(serialize_market(random_model(seed, arbitrage_free=True)))
+        price_global(model, h)
+        for label in model.labels:
+            calls.clear()
+            price_submarket(model, h, label)
+            assert len(calls) == 1, (seed, label)
+
 
 def test_memo_lives_exactly_as_long_as_its_model(m2_path):
     with open(m2_path) as handle:
@@ -228,6 +237,31 @@ def test_forged_certificate_is_rejected(monkeypatch, m2, venue, field, message, 
             price_global(model, h)
         else:
             price_submarket(model, h, "tau1")
+
+
+def test_integer_cone_check_reports_what_the_fraction_sums_report(monkeypatch):
+    # a witness off the cone by 1/10**40 on one atom of a planted 36-atom model
+    model = random_model(0, atoms=36, periods=1, submarkets=2, arbitrage_free=True)
+    h = random_claim(random.Random(0), model)
+    seen = []
+    solve = pricing.solve_lp
+
+    def nudged(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        seen.append((out.x[0] + F(1, 10**40),) + out.x[1:])
+        return dataclasses.replace(out, x=seen[-1])
+
+    monkeypatch.setattr(pricing, "solve_lp", nudged)
+    with pytest.raises(CertificateViolation) as err:
+        price_global(model, h)
+    # the same check on Fraction sums
+    for g in scope_basis(model, GLOBAL):
+        r = sum(v * w for v, w in zip(g.payoff, seen[-1]))
+        if r != 0:
+            break
+    assert r != 0
+    assert str(err.value) == f"cone witness not orthogonal to gain {g.submarket}/{g.node}/{g.asset}: {r}"
+    assert err.value.value == r and type(err.value.value) is F
 
 
 @pytest.mark.parametrize("venue", ["submarket", "global"])
@@ -485,6 +519,25 @@ def test_constant_ratio_m2(m2):
     assert report.c_values == {"tau1": F(15, 16), "tau2": F(1)}
     assert dict(report.allocation) == {"tau2": F(15, 4)}
     assert report.lp_price == report.price
+
+
+@pytest.mark.parametrize("mode, error", [("rational", CertificateViolation), ("float", NumericBreakdown)])
+def test_constant_ratio_compares_the_concentrated_price_in_both_modes(monkeypatch, m2, mode, error):
+    model = load_market({**serialize_market(m2), "mode": mode})
+    h = terminal_asset_claim(model, "tau1")
+    assert price_constant_ratio(model, h, {"tau2": 1}).price == pytest.approx(3.75)
+    venue = pricing._price_venue
+
+    def shifted(model, h, scope, labels):
+        report = venue(model, h, scope, labels)
+        if len(labels) == 1 and scope == GLOBAL:  # the concentrated-funding LP
+            return dataclasses.replace(report, price=report.price + report.price / 1000)
+        return report
+
+    monkeypatch.setattr(pricing, "_price_venue", shifted)
+    fresh = load_market({**serialize_market(m2), "mode": mode})
+    with pytest.raises(error, match="concentrated funding LP"):
+        price_constant_ratio(fresh, terminal_asset_claim(fresh, "tau1"), {"tau2": 1})
 
 
 def test_constant_ratio_single_submarket(m2):
