@@ -13,15 +13,16 @@ All martingale measures, state price deflators, and weighted measure sets
 are derived from that one common deflator.  So is each submarket's
 certificate once the global check has passed: the global gains contain the
 submarket's, so the common deflator is checked against them and no
-submarket LP is solved.  In rational mode the certificate checks multiply
-integers only, over gain rows kept per scope as numerators over one
-denominator.
+submarket LP is solved.  The deflator and every price witness pass one
+orthogonality check, `check_orthogonal`, against gain rows kept per scope
+in the row format of `numbers.to_row`: integer numerators over one
+denominator in rational mode, so the checks multiply integers only, and the
+floats themselves over 1.0 in float mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -41,7 +42,7 @@ from .gains import (
 )
 from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, lp, solve_lp
 from .market import MarketModel
-from .numbers import FEAS_TOL, MEMBER_TOL, Num, dot, int_row
+from .numbers import FEAS_TOL, MEMBER_TOL, Num, dot, from_row, to_row
 
 GLOBAL = "global"
 
@@ -59,51 +60,22 @@ class DeflatorCertificate:
     def verify(self, model: MarketModel) -> None:
         tree = model.tree
         exact = model.exact
-        for a in tree.leaves:
+        leaves = tree.leaves
+        for a in leaves:
             if not self.xstar[a] > 0:
                 value = self.xstar[a]
                 raise certificate_failure(exact, value, f"deflator {value} not positive at atom {a!r}")
-        if exact:
-            self._verify_integers(model)
-            return
-        mean = sum(tree.atom_probs[a] * self.xstar[a] for a in tree.leaves)
-        if abs(mean - 1) > FEAS_TOL:
-            raise certificate_failure(exact, mean, f"deflator mean {mean} != 1")
-        for g in self.basis_checked:
-            r = sum(
-                tree.atom_probs[a] * self.xstar[a] * g.payoff[k]
-                for k, a in enumerate(tree.leaves)
-            )
-            if abs(r) > MEMBER_TOL:
-                raise certificate_failure(
-                    exact, r, f"deflator not orthogonal to gain {g.submarket}/{g.node}/{g.asset}: {r}"
-                )
-
-    def _verify_integers(self, model: MarketModel) -> None:
-        """The exact mean and orthogonality checks on w = P X* held as
-        integers over one denominator; a Fraction is built only to report a
-        failure."""
-        tree = model.tree
-        leaves = tree.leaves
-        pn, pd = model._memoized(("int_probs",), lambda: int_row([tree.atom_probs[a] for a in leaves]))
-        xn, xd = int_row([self.xstar[a] for a in leaves])
+        # w = P X* as one row: its sum is the mean, its dot product with a
+        # gain row the residual
+        pn, pd = atom_row(model, ("prob_row",), tree.atom_probs)
+        xn, xd = to_row([self.xstar[a] for a in leaves], exact)
         w = [p * x for p, x in zip(pn, xn)]
         den = pd * xd
-        if sum(w) != den:
-            mean = Fraction(sum(w), den)
-            raise certificate_failure(True, mean, f"deflator mean {mean} != 1")
-        basis = self.basis_checked
-        if basis is scope_basis(model, self.scope):
-            rows = int_gains(model, self.scope)
-        else:
-            rows = [int_row(g.payoff) for g in basis]
-        for g, (gn, gd) in zip(basis, rows):
-            r = dot(gn, w)
-            if r:
-                r = Fraction(r, gd * den)
-                raise certificate_failure(
-                    True, r, f"deflator not orthogonal to gain {g.submarket}/{g.node}/{g.asset}: {r}"
-                )
+        total = sum(w)
+        if abs(total - den) > (0 if exact else FEAS_TOL):
+            mean = from_row(total, den, exact)
+            raise certificate_failure(exact, mean, f"deflator mean {mean} != 1")
+        check_orthogonal(model, self.scope, self.basis_checked, w, den, "deflator")
 
 
 @dataclass(frozen=True)
@@ -187,17 +159,43 @@ def scope_basis(model: MarketModel, scope: str) -> tuple[GainAtom, ...]:
     return elementary_gains(model, scope)
 
 
-def int_gains(model: MarketModel, scope: str) -> tuple[tuple[list[int], int], ...]:
-    """Exact mode: each gain of `scope_basis(model, scope)`, in order, as
-    integer numerators over one positive denominator, so that certificate
-    checks multiply integers only.  Computed once per model and scope."""
+def gain_rows(model: MarketModel, scope: str) -> tuple[tuple[Sequence[Num], Num], ...]:
+    """Each gain of `scope_basis(model, scope)`, in order, as a row of
+    `to_row`: integer numerators over one denominator in rational mode, the
+    payoff itself over 1.0 in float mode.  Computed once per model and
+    scope."""
 
     def compute():
         if scope == GLOBAL:
-            return tuple(r for label in model.labels for r in int_gains(model, label))
-        return tuple(int_row(g.payoff) for g in elementary_gains(model, scope))
+            return tuple(r for label in model.labels for r in gain_rows(model, label))
+        return tuple(to_row(g.payoff, model.exact) for g in elementary_gains(model, scope))
 
-    return model._memoized(("int_gains", scope), compute)
+    return model._memoized(("gain_rows", scope), compute)
+
+
+def atom_row(model: MarketModel, key: tuple, values: Mapping[str, Num]):
+    """`values` over the atoms as a row of `to_row`, computed once per model
+    and kept in the memo under `key`."""
+    return model._memoized(key, lambda: to_row([values[a] for a in model.tree.leaves], model.exact))
+
+
+def check_orthogonal(model: MarketModel, scope: str, basis, qn, qd, what: str) -> None:
+    """Raise a certificate failure unless the row (qn, qd) is orthogonal to
+    every gain of `basis`: exactly in rational mode, within MEMBER_TOL in
+    float mode.  The scope's own basis takes its rows from the memo; `what`
+    names q in the message."""
+    exact = model.exact
+    tol = 0 if exact else MEMBER_TOL
+    if basis is scope_basis(model, scope):
+        rows = gain_rows(model, scope)
+    else:
+        rows = [to_row(g.payoff, exact) for g in basis]
+    for g, (gn, gd) in zip(basis, rows):
+        r = dot(gn, qn)
+        if abs(r) > tol:
+            r = from_row(r, gd * qd, exact)
+            where = f"{g.submarket}/{g.node}/{g.asset}"
+            raise certificate_failure(exact, r, f"{what} not orthogonal to gain {where}: {r}")
 
 
 def _orthogonality_rows(model: MarketModel, basis: Sequence[GainAtom]):

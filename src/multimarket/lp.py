@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import NumericBreakdown
-from .numbers import FEAS_TOL, Num, dot, int_row
+from .numbers import FEAS_TOL, Num, dot, from_row, to_row
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -165,7 +165,7 @@ class _Standardizer:
         for col, v in entries:
             row[col] = v
         row[-1] = last
-        return int_row(row) if self.exact else (row, 1.0)
+        return to_row(row, self.exact)
 
     def to_user(self, u: Sequence[Num], point: bool = True) -> tuple[Num, ...]:
         """The user variables of the standard point u; a direction (``point``
@@ -177,12 +177,6 @@ class _Standardizer:
                 v = v + s * u[col]
             out.append(v)
         return tuple(out)
-
-
-def _value(num, den, exact: bool) -> Num:
-    """A stored entry as a number: num/den in exact mode, num in float mode
-    (where den is 1.0)."""
-    return Fraction(num, den) if exact else num
 
 
 def _lowest(row: list[int], den: int) -> int:
@@ -249,7 +243,7 @@ class _Tableau:
 
     def value(self, i: int, j: int) -> Num:
         """Entry (i, j) of the tableau; j = -1 is the right-hand side."""
-        return _value(self.rows[i][j], self.dens[i], self.exact)
+        return from_row(self.rows[i][j], self.dens[i], self.exact)
 
     def _pivot(self, cost: list | None, cost_den: list | None, pr: int, pc: int) -> None:
         """Make column pc basic in row pr, updating every live row and the
@@ -345,7 +339,7 @@ class _Tableau:
             cost_den = [1.0]
         if self._optimize(cost, cost_den) is not None:
             raise NumericBreakdown("phase-1 objective unbounded")
-        return _value(-cost[-1], cost_den[0], self.exact)
+        return from_row(-cost[-1], cost_den[0], self.exact)
 
     def drive_out_artificials(self) -> None:
         for i in range(len(self.rows)):
@@ -391,7 +385,7 @@ def _solve_square(matrix: list[list[Num]], rhs: list[Num], tol, exact: bool) -> 
         for r in range(n):
             if r != col and a[r][col] != 0:
                 dens[r] = _eliminate(a[r], dens[r], nz, col, dens[col], exact)
-    return [_value(a[i][n], dens[i], exact) for i in range(n)]
+    return [from_row(a[i][n], dens[i], exact) for i in range(n)]
 
 
 def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
@@ -471,20 +465,17 @@ def _dual_from_basis(std: _Standardizer, tab: _Tableau, phase1: bool):
 
 def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
     """A u = b, u >= 0, c - A^T y >= 0 and complementary slackness, against
-    the standardizer's rows.  Exact mode brings u and y_i / d_i to integers
-    over common denominators, so each test compares the sign of an integer
-    that is a positive multiple of the quantity it checks."""
-    if exact:
-        t = 0
-        u_num, u_den = int_row(u)
-        z, z_den = int_row([yi / d for yi, d in zip(y, std.dens)])
-    else:
-        t = FEAS_TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
-        u_num, u_den, z, z_den = u, 1.0, y, 1.0
+    the standardizer's rows, with u and y_i / d_i in the row format of
+    `to_row`: in exact mode integers over common denominators, so each test
+    compares the sign of an integer that is a positive multiple of the
+    quantity it checks."""
+    t = 0 if exact else FEAS_TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
+    u_num, u_den = to_row(u, exact)
+    z, z_den = to_row([yi / d for yi, d in zip(y, std.dens)], exact)
     for i, row in enumerate(std.rows):
         residual = dot(row, u_num) - row[-1] * u_den
         if abs(residual) > t:
-            shown = _value(residual, std.dens[i] * u_den, exact)
+            shown = from_row(residual, std.dens[i] * u_den, exact)
             raise NumericBreakdown(f"primal residual {shown} on row {i}")
     for j in range(std.ncols):
         if u_num[j] < -t:
@@ -492,7 +483,7 @@ def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
         cj = std.cost[j]
         reduced = cj * z_den - std.cost_den * dot([row[j] for row in std.rows], z)
         if reduced < -(0 if exact else FEAS_TOL * (1 + abs(cj))):
-            shown = _value(reduced, std.cost_den * z_den, exact)
+            shown = from_row(reduced, std.cost_den * z_den, exact)
             raise NumericBreakdown(f"dual infeasible: reduced cost {shown} at col {j}")
         if exact and u_num[j] > 0 and reduced != 0:
             raise NumericBreakdown("complementary slackness violated")

@@ -308,8 +308,11 @@ def load_market(document: Mapping) -> MarketModel:
 
     bound = document.get("bound_constant")
     bound_c = parse_scalar(bound, exact) if bound is not None else None
+    claims_spec = document.get("claims", ())
+    if not isinstance(claims_spec, Sequence) or isinstance(claims_spec, str):
+        raise SchemaError(f"'claims' must be a list, got {claims_spec!r}")
     claims = []
-    for c in document.get("claims", ()):
+    for c in claims_spec:
         if not (isinstance(c, Mapping) and "label" in c and isinstance(c.get("payoff"), Mapping)):
             raise SchemaError(f"claim {c!r} needs a 'label' and a 'payoff' map")
         if not isinstance(c["label"], str):

@@ -50,21 +50,28 @@ class RateStructure:
 
     @staticmethod
     def from_document(tree: ScenarioTree, doc: Mapping, exact: bool) -> "RateStructure":
-        if "base_rate" not in doc or "spreads" not in doc:
+        if not isinstance(doc, Mapping) or "base_rate" not in doc or "spreads" not in doc:
             raise SchemaError("rate_structure needs 'base_rate' and 'spreads'")
-        base = {n: parse_scalar(v, exact) for n, v in doc["base_rate"].items()}
+        base = _scalar_map(doc["base_rate"], "base_rate", exact)
         spreads = {
-            label: {n: parse_scalar(v, exact) for n, v in per.items()}
-            for label, per in doc["spreads"].items()
+            label: _scalar_map(per, f"spread of {label!r}", exact)
+            for label, per in _mapping(doc["spreads"], "spreads").items()
         }
         dt = parse_scalar(doc.get("dt", 1), exact)
         initial = None
         if "initial_numeraire" in doc:
-            initial = {
-                label: parse_scalar(v, exact)
-                for label, v in doc["initial_numeraire"].items()
-            }
+            initial = _scalar_map(doc["initial_numeraire"], "initial_numeraire", exact)
         return RateStructure(base_rate=base, spreads=spreads, dt=dt, initial_numeraire=initial)
+
+
+def _mapping(raw, where: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise SchemaError(f"rate_structure {where} must be a map, got {raw!r}")
+    return raw
+
+
+def _scalar_map(raw, where: str, exact: bool) -> dict:
+    return {key: parse_scalar(v, exact) for key, v in _mapping(raw, where).items()}
 
 
 @dataclass(frozen=True)

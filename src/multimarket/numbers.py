@@ -10,7 +10,7 @@ document to every LP solved downstream.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Sequence, Union
 
 from .errors import SchemaError
@@ -30,7 +30,9 @@ def parse_scalar(raw, exact: bool = True) -> Num:
     Strings are treated as exact: ``"3/4"`` and ``"0.75"`` both give the same
     Fraction.  Ints are exact.  Floats are only exact in the binary sense and
     force float mode unless the caller insists on rational conversion.
-    Anything else raises SchemaError.
+    A non-finite float (JSON ``NaN`` or ``Infinity``), a value that
+    overflows a float in float mode and anything else that is not a number
+    raise SchemaError.
     """
     if isinstance(raw, bool):
         raise SchemaError(f"boolean is not a number: {raw!r}")
@@ -39,6 +41,8 @@ def parse_scalar(raw, exact: bool = True) -> Num:
     elif isinstance(raw, int):
         value = Fraction(raw)
     elif isinstance(raw, float):
+        if not isfinite(raw):
+            raise SchemaError(f"non-finite number {raw!r}")
         value = Fraction(raw) if exact else raw
     elif isinstance(raw, str):
         try:
@@ -49,7 +53,10 @@ def parse_scalar(raw, exact: bool = True) -> Num:
         raise SchemaError(f"cannot parse number {raw!r}")
     if exact:
         return value if isinstance(value, Fraction) else Fraction(value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"number {raw!r} overflows a float") from None
 
 
 def scalar_to_json(value: Num):
@@ -69,11 +76,21 @@ def format_sig12(value: Num) -> str:
     return f"{float(value):.12g}"
 
 
-def int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Numerators over the least common denominator, which leaves them in
-    lowest terms.  Ints count as rationals over 1."""
+def to_row(values: Sequence[Num], exact: bool) -> tuple[Sequence[Num], Num]:
+    """The row format of every certificate check and of the simplex: in
+    rational mode the numerators over the least common denominator, which
+    leaves them in lowest terms (ints count as rationals over 1); in float
+    mode ``values`` themselves, not copied, over 1.0."""
+    if not exact:
+        return values, 1.0
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def from_row(num, den, exact: bool) -> Num:
+    """One entry of a row as a number: num/den in rational mode, num in
+    float mode (where den is 1.0)."""
+    return Fraction(num, den) if exact else num
 
 
 def dot(a, b):

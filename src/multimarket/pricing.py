@@ -9,8 +9,10 @@ scope's gains and meet some budget rows.  A venue price has one budget row
 per funded submarket and reads the hedge from its row duals; one check
 that uses no LP code then proves both sides: the hedge dominates the
 claim, the witness lies in the cone within its budget rows, and the gap is
-zero (exactly in rational mode).  The weighted measure-set extreme
-E[X H]/E[X Z] is the same LP over the slice E[X Z] = 1.  Closed-form
+zero (exactly in rational mode).  The witness passes the orthogonality
+check of the deflator certificate, `arbitrage.check_orthogonal`, one body
+for both numeric modes.  The weighted measure-set extreme E[X H]/E[X Z] is
+the same LP over the slice E[X Z] = 1.  Closed-form
 identities for one-dimensional submarkets, constant growth ratios, and the
 two-submarket case are evaluated against the LPs rather than assumed.
 """
@@ -18,15 +20,15 @@ two-submarket case are evaluated against the LPs rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .arbitrage import (
     GLOBAL,
     MeasureSelector,
+    atom_row,
     check_global_nfl,
+    check_orthogonal,
     check_submarket_nfl,
-    int_gains,
     scope_basis,
 )
 from .errors import (
@@ -48,7 +50,7 @@ from .gains import (
 )
 from .lp import EQ, INFEASIBLE, LE, OPTIMAL, lp, solve_lp
 from .market import Claim, MarketModel
-from .numbers import FEAS_TOL, GAP_TOL, MEMBER_TOL, ZERO_TOL, Num, dot, int_row
+from .numbers import FEAS_TOL, GAP_TOL, MEMBER_TOL, ZERO_TOL, Num, dot, from_row, to_row
 
 VENUE_GLOBAL = "global"
 VENUE_LOWER = "lower"
@@ -108,8 +110,10 @@ def _certify(model, h, scope, allocation, hedge, q) -> tuple[Num, Num]:
        single submarket, at most 1 for each submarket of the joint venue.
     3. The allocation's total equals the value of the claim under q.
 
-    Exact mode allows no slack; float mode FEAS_TOL for feasibility and the
-    budgets and MEMBER_TOL for the cone.
+    Steps 2 and 3 take q, the gains, the growth ratios and h as rows of
+    `to_row`, so rational mode multiplies integers only.  Exact mode allows
+    no slack; float mode FEAS_TOL for feasibility and the budgets and
+    MEMBER_TOL for the cone.
     """
     exact = model.exact
     joint = scope == GLOBAL
@@ -126,53 +130,17 @@ def _certify(model, h, scope, allocation, hedge, q) -> tuple[Num, Num]:
                 raise certificate_failure(exact, x, f"negative allocation {x} to {lab!r}")
     if any(v < -member for v in q):
         raise certificate_failure(exact, min(q), f"cone witness {min(q)} is negative")
-    if exact:
-        value = _cone_checks_exact(model, h, scope, allocation, q)
-    else:
-        for g in scope_basis(model, scope):
-            r = sum(v * w for v, w in zip(g.payoff, q))
-            if abs(r) > member:
-                where = f"{g.submarket}/{g.node}/{g.asset}"
-                raise certificate_failure(exact, r, f"cone witness not orthogonal to gain {where}: {r}")
-        for lab in allocation:
-            ratio = model.numeraire_ratio(lab)
-            mass = sum(ratio[a] * w for a, w in zip(leaves, q))
-            if mass > 1 + feas or (not joint and mass < 1 - feas):
-                raise certificate_failure(exact, mass, f"cone witness misses the budget of {lab!r}: {mass}")
-        value = sum(v * w for v, w in zip(h, q))
-    return value, _gap(sum(allocation.values()), value, exact)
-
-
-def _cone_checks_exact(model, h, scope, allocation, q) -> Fraction:
-    """Step 2's orthogonality and budget rows and step 3's value of
-    `_certify` in rational mode, as integer dot products against q held as
-    integers over one denominator; a Fraction is built only for the value
-    and to report a failure."""
-    qn, qd = int_row(q)
-    for g, (gn, gd) in zip(scope_basis(model, scope), int_gains(model, scope)):
-        r = dot(gn, qn)
-        if r:
-            r = Fraction(r, gd * qd)
-            where = f"{g.submarket}/{g.node}/{g.asset}"
-            raise certificate_failure(True, r, f"cone witness not orthogonal to gain {where}: {r}")
-    joint = scope == GLOBAL
+    qn, qd = to_row(q, exact)
+    check_orthogonal(model, scope, scope_basis(model, scope), qn, qd, "cone witness")
     for lab in allocation:
-        rn, rd = _int_ratio(model, lab)
+        rn, rd = atom_row(model, ("ratio_row", lab), model.numeraire_ratio(lab))
         mass, unit = dot(rn, qn), rd * qd
-        if mass > unit or (not joint and mass < unit):
-            mass = Fraction(mass, unit)
-            raise certificate_failure(True, mass, f"cone witness misses the budget of {lab!r}: {mass}")
-    hn, hd = int_row(h)
-    return Fraction(dot(hn, qn), hd * qd)
-
-
-def _int_ratio(model: MarketModel, label: str) -> tuple[list[int], int]:
-    """The submarket's growth ratio over the atoms as integers over one
-    denominator (rational mode).  Computed once per model and label."""
-    ratio = model.numeraire_ratio(label)
-    return model._memoized(
-        ("int_ratio", label), lambda: int_row([ratio[a] for a in model.tree.leaves])
-    )
+        if mass > unit + feas or (not joint and mass < unit - feas):
+            mass = from_row(mass, unit, exact)
+            raise certificate_failure(exact, mass, f"cone witness misses the budget of {lab!r}: {mass}")
+    hn, hd = to_row(h, exact)
+    value = from_row(dot(hn, qn), hd * qd, exact)
+    return value, _gap(sum(allocation.values()), value, exact)
 
 
 def _require_submarket_nfl(model, label):

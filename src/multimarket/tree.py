@@ -105,19 +105,22 @@ def _explicit_nodes(spec) -> dict[str, Node]:
             raise MalformedTopology(f"node {node_id!r} has unknown parent {parent!r}")
         children[parent].append(node_id)
 
-    times: dict[str, int] = {}
-
-    def set_time(node_id: str) -> int:
-        if node_id not in times:
-            parent = parents[node_id]
-            times[node_id] = 0 if parent is None else set_time(parent) + 1
-        return times[node_id]
-
-    for node_id in order:
-        set_time(node_id)
+    # times by a walk down from the root; a node it never reaches sits on
+    # (or under) a parent cycle
+    times = {roots[0]: 0}
+    frontier = [roots[0]]
+    while frontier:
+        node_id = frontier.pop()
+        for child in children[node_id]:
+            times[child] = times[node_id] + 1
+            frontier.append(child)
+    if len(times) != len(order):
+        cycle = next(n for n in order if n not in times)
+        raise MalformedTopology(f"node {cycle!r} is not reachable from the root (parent cycle)")
+    # a stable sort keeps listing order within each time
     return {
         n: Node(n, times[n], parents[n], tuple(children[n]))
-        for n in sorted(order, key=lambda n: (times[n], order.index(n)))
+        for n in sorted(order, key=times.__getitem__)
     }
 
 
@@ -193,19 +196,13 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
     elif abs(total - 1) > FEAS_TOL:
         raise ProbabilitySumMismatch(f"atom probabilities sum to {total}, not 1")
 
+    # nodes are in time order, so in reverse every child precedes its parent
     atoms_under: dict[str, tuple[str, ...]] = {}
-
-    def collect(node_id: str) -> tuple[str, ...]:
+    for node_id in reversed(nodes):
         node = nodes[node_id]
-        result = (node_id,) if node.is_leaf else tuple(
-            a for c in node.children for a in collect(c)
+        atoms_under[node_id] = (node_id,) if node.is_leaf else tuple(
+            a for c in node.children for a in atoms_under[c]
         )
-        atoms_under[node_id] = result
-        return result
-
-    collect(ROOT_ID if ROOT_ID in nodes else next(iter(nodes)))
-    if len(atoms_under) != len(nodes):
-        raise MalformedTopology("tree has nodes unreachable from the root")
 
     paths: dict[str, tuple[str, ...]] = {}
     for leaf in leaves:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import multimarket.arbitrage as arbitrage
+import multimarket.pricing as pricing
 
 from crosschecks import strategy_wealth
 from multimarket.arbitrage import (
@@ -29,7 +30,9 @@ from multimarket.errors import (
 from multimarket.gains import strategy_cost, terminal_value
 from multimarket.generate import random_model
 from multimarket.market import Submarket, load_market, make_model, serialize_market
+from multimarket.numbers import FEAS_TOL, MEMBER_TOL
 from multimarket.oracle import enumerate_measure_vertices
+from multimarket.pricing import price_global, terminal_asset_claim
 from multimarket.tree import build_tree
 from stopping import node_on_path, sample_stopping_time_pairs
 
@@ -204,6 +207,54 @@ def test_integer_deflator_check_reports_what_the_fraction_sums_report():
             dataclasses.replace(common, xstar=xstar, basis_checked=basis).verify(model)
         assert str(err.value) == message
         assert err.value.value == r and type(err.value.value) is F
+
+
+def test_float_deflator_and_cone_checks_pin_their_tolerances(monkeypatch, m2):
+    # the float twin of the test above: each check rejects at ten times its
+    # tolerance and passes at a tenth of it
+    planted = random_model(0, atoms=36, periods=1, submarkets=2, arbitrage_free=True)
+    model = load_market({**serialize_market(planted), "mode": "float"})
+    common = check_global_nfl(model).certificate
+    tree = model.tree
+    a0, a1 = tree.leaves[:2]
+
+    def nudged(mass0, mass1=0.0):
+        # E[X*] moves by mass0 on atom a0 and by mass1 on atom a1
+        xstar = {
+            **common.xstar,
+            a0: common.xstar[a0] + mass0 / tree.atom_probs[a0],
+            a1: common.xstar[a1] + mass1 / tree.atom_probs[a1],
+        }
+        return dataclasses.replace(common, xstar=xstar)
+
+    with pytest.raises(NumericBreakdown, match="deflator mean"):
+        nudged(10 * FEAS_TOL).verify(model)
+    nudged(FEAS_TOL / 10).verify(model)
+    # a mean-preserving nudge leaves residual mass * (g[a0] - g[a1]) on gain g
+    spread = max(abs(g.payoff[0] - g.payoff[1]) for g in common.basis_checked)
+    mass = 10 * MEMBER_TOL / spread
+    with pytest.raises(NumericBreakdown, match="deflator not orthogonal"):
+        nudged(mass, -mass).verify(model)
+    nudged(mass / 100, -mass / 100).verify(model)
+
+    # the venue LP's witness moved on its first atom: on m2 every global gain
+    # is a multiple of (2, -1), so the residual on tau1/r/0 is twice the move;
+    # moving down keeps it nonnegative and inside its <= budget rows
+    solve = pricing.solve_lp
+    for residual in (10 * MEMBER_TOL, MEMBER_TOL / 10):
+
+        def moved(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            return dataclasses.replace(out, x=(out.x[0] - residual / 2,) + out.x[1:])
+
+        monkeypatch.setattr(pricing, "solve_lp", moved)
+        fresh = load_market({**serialize_market(m2), "mode": "float"})
+        h = terminal_asset_claim(fresh, "tau1")
+        if residual > MEMBER_TOL:
+            with pytest.raises(NumericBreakdown, match="cone witness not orthogonal to gain tau1/r/0"):
+                price_global(fresh, h)
+        else:
+            assert price_global(fresh, h).price == pytest.approx(3.75)
 
 
 def test_m1_cross_market_arbitrage(m1):

@@ -11,7 +11,7 @@ import pytest
 from multimarket.cli import main
 from multimarket.errors import CertificateViolation
 from multimarket.generate import random_claim, random_model
-from multimarket.market import serialize_market
+from multimarket.market import load_market, serialize_market
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -267,6 +267,31 @@ def test_malformed_submarket_exits_2_without_traceback(m2_path, tmp_path):
         assert "Traceback" not in out.stderr, command
 
 
+def _first_prob(doc, value, mode):
+    probs = dict(doc["tree"]["atom_probs"])
+    probs[next(iter(probs))] = value
+    return {**doc, "mode": mode, "tree": {**doc["tree"], "atom_probs": probs}}
+
+
+def _first_asset(doc, value, mode):
+    first = doc["submarkets"][0]
+    first = {**first, "assets": {**first["assets"], "r": [value]}}
+    return {**doc, "mode": mode, "submarkets": [first, *doc["submarkets"][1:]]}
+
+
+def _listed_nodes(doc, *extra):
+    # m2's tree as a node listing, plus the (id, parent) pairs `extra`
+    pairs = [("r", None), ("r.0", "r"), ("r.1", "r"), *extra]
+    nodes = [{"id": n, "parent": p} for n, p in pairs]
+    return {**doc, "tree": {"nodes": nodes, "atom_probs": doc["tree"]["atom_probs"]}}
+
+
+def _rated(doc, rate_structure):
+    # the first submarket's numeraire left to `rate_structure`
+    first = {k: v for k, v in doc["submarkets"][0].items() if k != "numeraire"}
+    return {**doc, "rate_structure": rate_structure, "submarkets": [first, *doc["submarkets"][1:]]}
+
+
 @pytest.mark.parametrize("command", ["validate", "arb", "verify"])
 @pytest.mark.parametrize(
     "defect",
@@ -274,8 +299,32 @@ def test_malformed_submarket_exits_2_without_traceback(m2_path, tmp_path):
         lambda doc: {**doc, "tree": {"nodes": [["r"]], "atom_probs": doc["tree"]["atom_probs"]}},
         lambda doc: {**doc, "tree": {**doc["tree"], "atom_probs": 5}},
         lambda doc: {**doc, "claims": [{**doc["claims"][0], "label": ["a"]}]},
+        lambda doc: _first_prob(doc, float("nan"), "rational"),
+        lambda doc: _first_asset(doc, float("inf"), "rational"),
+        lambda doc: _first_prob(doc, float("nan"), "float"),
+        lambda doc: _first_asset(doc, "1e400", "float"),
+        lambda doc: _listed_nodes(doc, ("a", "a")),
+        lambda doc: _listed_nodes(doc, ("a", "b"), ("b", "a")),
+        lambda doc: {**doc, "claims": 5},
+        lambda doc: _rated(doc, 5),
+        lambda doc: _rated(doc, {"base_rate": ["0"], "spreads": {"tau1": {"r": "0"}}}),
+        lambda doc: _rated(doc, {"base_rate": {"r": "0"}, "spreads": {"tau1": 5}}),
     ],
-    ids=["node-entry", "atom-probs", "claim-label"],
+    ids=[
+        "node-entry",
+        "atom-probs",
+        "claim-label",
+        "nan-rational",
+        "infinity-rational",
+        "nan-float",
+        "overflow-float",
+        "self-parent",
+        "parent-cycle",
+        "claims-int",
+        "rate-structure-int",
+        "base-rate-list",
+        "spread-not-map",
+    ],
 )
 def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):
     with open(m2_path) as handle:
@@ -284,6 +333,25 @@ def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):
     bad.write_text(json.dumps(defect(document)))
     code, _ = run_cli(capsys, command, str(bad))
     assert code == 2
+
+
+def test_chain_deeper_than_the_recursion_limit_validates(capsys, tmp_path):
+    steps = 1500
+    ids = ["r"]
+    for _ in range(steps):
+        ids.append(ids[-1] + ".0")
+    document = {
+        "tree": {"branching": [1] * steps, "atom_probs": ["1"]},
+        "submarkets": [
+            {"label": "a", "numeraire": {n: "1" for n in ids}, "assets": {n: ["1"] for n in ids}}
+        ],
+    }
+    spec = tmp_path / "chain.json"
+    for form in (document, serialize_market(load_market(document))):
+        spec.write_text(json.dumps(form))
+        code, out = run_cli(capsys, "validate", str(spec))
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
 
 def test_cli_import_leaves_multicurve_unloaded():
