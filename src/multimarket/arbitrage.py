@@ -42,7 +42,7 @@ from .gains import (
 )
 from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, lp, solve_lp
 from .market import MarketModel
-from .numbers import FEAS_TOL, MEMBER_TOL, Num, dot, from_row, to_row
+from .numbers import Num, dot, from_row, to_row, tolerances
 
 GLOBAL = "global"
 
@@ -72,7 +72,7 @@ class DeflatorCertificate:
         w = [p * x for p, x in zip(pn, xn)]
         den = pd * xd
         total = sum(w)
-        if abs(total - den) > (0 if exact else FEAS_TOL):
+        if abs(total - den) > tolerances(exact).feas:
             mean = from_row(total, den, exact)
             raise certificate_failure(exact, mean, f"deflator mean {mean} != 1")
         check_orthogonal(model, self.scope, self.basis_checked, w, den, "deflator")
@@ -181,11 +181,11 @@ def atom_row(model: MarketModel, key: tuple, values: Mapping[str, Num]):
 
 def check_orthogonal(model: MarketModel, scope: str, basis, qn, qd, what: str) -> None:
     """Raise a certificate failure unless the row (qn, qd) is orthogonal to
-    every gain of `basis`: exactly in rational mode, within MEMBER_TOL in
-    float mode.  The scope's own basis takes its rows from the memo; `what`
-    names q in the message."""
+    every gain of `basis`, within the mode's ``member`` tolerance.  The
+    scope's own basis takes its rows from the memo; `what` names q in the
+    message."""
     exact = model.exact
-    tol = 0 if exact else MEMBER_TOL
+    tol = tolerances(exact).member
     if basis is scope_basis(model, scope):
         rows = gain_rows(model, scope)
     else:
@@ -211,7 +211,7 @@ def _orthogonality_rows(model: MarketModel, basis: Sequence[GainAtom]):
 def _witness_from_coeffs(
     model: MarketModel, basis: Sequence[GainAtom], coeffs: Sequence[Num], scope: str
 ) -> ArbitrageWitness | None:
-    tol = 0 if model.exact else FEAS_TOL
+    tol = tolerances(model.exact).feas
     strategy = strategy_from_coefficients(model, basis, coeffs)
     payoff = terminal_value(model, {}, strategy)
     values = [payoff[a] for a in model.tree.leaves]
@@ -285,7 +285,7 @@ def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertifi
         coeffs = [-y for y in out.farkas[: len(basis)]]
     elif out.status != OPTIMAL:
         raise NumericBreakdown(f"deflator LP returned {out.status}")
-    elif out.value <= (0 if model.exact else FEAS_TOL):
+    elif out.value <= tolerances(model.exact).feas:
         coeffs = out.row_duals[: len(basis)]
     else:
         t = out.x[-1]
@@ -396,7 +396,7 @@ def check_measure_membership(
     """
     tree = model.tree
     _require_positive(selector.weight)
-    tol = 0 if model.exact else MEMBER_TOL
+    tol = tolerances(model.exact).member
     total = sum(q.get(a, 0) for a in tree.leaves)
     if any(q.get(a, 0) < -tol for a in tree.leaves) or abs(total - 1) > tol:
         return MembershipReport(member=False, residuals={}, equivalent=False)
@@ -413,8 +413,7 @@ def check_measure_membership(
             for k, a in enumerate(tree.leaves)
         )
         residuals[f"{g.submarket}/{g.node}/{g.asset}"] = r
-        violated = (r != 0) if model.exact else (abs(r) > tol)
-        if violated:
+        if abs(r) > tol:
             member = False
     equivalent = member and all(q.get(a, 0) > 0 for a in tree.leaves)
     return MembershipReport(member=member, residuals=residuals, equivalent=equivalent)

@@ -29,14 +29,13 @@ from .errors import (
     ArbitrageExists,
     CertificateViolation,
     ConditionNotMet,
-    DimensionNotOne,
     MarketError,
     NumericBreakdown,
     SchemaError,
 )
 from .generate import random_model
 from .market import MarketModel, load_market, serialize_market, validate_model
-from .numbers import GAP_TOL, format_sig12, parse_scalar, scalar_to_json
+from .numbers import format_sig12, parse_scalar, scalar_to_json, tolerances
 from .pricing import (
     dual_bounds_global,
     dual_certificate_global,
@@ -76,7 +75,7 @@ def _read_document(path: str) -> dict:
     try:
         with open(path) as handle:
             return json.load(handle)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
@@ -253,7 +252,7 @@ def cmd_verify(args) -> int:
         if model.submarket(label).dim == 1:
             claims.setdefault(f"terminal:{label}", terminal_asset_claim(model, label))
 
-    slack = 0 if model.exact else GAP_TOL  # the slack of `dual_bounds_global`
+    slack = tolerances(model.exact).gap  # the slack of `dual_bounds_global`
     ordering = {}
     certificates = {}
     bounds = {}
@@ -289,10 +288,7 @@ def cmd_verify(args) -> int:
         for other in one_dim:
             if label == other:
                 continue
-            try:
-                report = one_dim_identity_suite(model, label, other)
-            except DimensionNotOne:
-                continue
+            report = one_dim_identity_suite(model, label, other)
             lemma[f"{label}->{other}"] = {
                 name: _identity_entry(c) for name, c in report.checks.items()
             }
@@ -360,13 +356,17 @@ def cmd_demo_cotrade(args) -> int:
     document = _read_document(args.spec)
     model = load_market(document)
     quotes_doc = document.get("zc_quotes")
-    if not quotes_doc or len(quotes_doc.get("quotes", ())) != 2:
+    quotes = quotes_doc.get("quotes") if isinstance(quotes_doc, dict) else None
+    if not (
+        isinstance(quotes, list)
+        and len(quotes) == 2
+        and all(
+            isinstance(q, dict) and isinstance(q.get("tenor"), str) and "price" in q
+            for q in quotes
+        )
+    ):
         raise SchemaError("demo cotrade needs a 'zc_quotes' section with two quotes")
-    exact = model.exact
-    q1, q2 = (
-        ZcQuote(entry["tenor"], parse_scalar(entry["price"], exact))
-        for entry in quotes_doc["quotes"]
-    )
+    q1, q2 = (ZcQuote(q["tenor"], parse_scalar(q["price"], model.exact)) for q in quotes)
     demo = cotrade_arbitrage_demo(q1, q2, model.tree)
     sys.stdout.write(demo.narrative + "\n")
     _emit(

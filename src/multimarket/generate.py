@@ -37,9 +37,7 @@ def random_tree(rng: random.Random, atoms: int, periods: int) -> ScenarioTree:
         else:
             first = rng.choice(split)
             branching = [first, atoms // first]
-    probs = _random_probs(rng, atoms)
-    leaves_order = build_tree(branching, [Fraction(p) for p in probs]).leaves
-    return build_tree(branching, dict(zip(leaves_order, [Fraction(p) for p in probs])))
+    return build_tree(branching, [Fraction(p) for p in _random_probs(rng, atoms)])
 
 
 def _random_numeraire(rng: random.Random, tree: ScenarioTree, deterministic: bool) -> dict[str, Num]:

@@ -10,7 +10,7 @@ the same exact values as over Fractions, so the pivot path is the same.
 Every outcome carries a certificate that is checked before returning:
 
 * optimal: primal and dual solutions with complementary slackness and a
-  zero (or FEAS_TOL-bounded) duality gap,
+  duality gap within the mode's feasibility tolerance (zero when exact),
 * infeasible: a Farkas vector over the rows whose aggregate constraint no
   point within the variable bounds can satisfy,
 * unbounded: a feasible improving ray.
@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import NumericBreakdown
-from .numbers import FEAS_TOL, Num, dot, from_row, to_row
+from .numbers import Num, dot, from_row, to_row, tolerances
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -90,12 +90,14 @@ class _Standardizer:
     ``rows[i]`` holds [A_i | b_i] and ``cost`` holds [c | 0], stored as the
     tableau stores them: in exact mode Python-int numerators over the
     positive denominators ``dens[i]`` and ``cost_den``, in lowest terms; in
-    float mode the values themselves, over 1.0.
+    float mode the values themselves, over 1.0.  ``feas`` scales the
+    mode's feasibility tolerance by the largest right-hand side.
     """
 
     def __init__(self, prog: LinearProgram, exact: bool):
         self.prog = prog
         self.exact = exact
+        self.tol = tolerances(exact)
         zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
         self.zero, self.one = zero, one
         cast = Fraction if exact else float
@@ -157,6 +159,7 @@ class _Standardizer:
             self.flip.append(-1 if row[-1] < 0 else 1)
             self.rows.append([-v for v in row] if row[-1] < 0 else row)
             self.dens.append(den)
+        self.feas = self.tol.feas * (1 + max((abs(row[-1]) for row in self.rows), default=0))
 
     def _stored(self, entries, last) -> tuple[list, Num]:
         """The stored row of width ncols + 1 with ``entries`` ((col, value)
@@ -229,10 +232,10 @@ class _Tableau:
     basis indices at or above ``n_real`` that name them.
     """
 
-    def __init__(self, std: _Standardizer, tol):
+    def __init__(self, std: _Standardizer):
         self.std = std
         self.exact = std.exact
-        self.tol = tol
+        self.tol = std.tol.feas
         self.rows = [row[:] for row in std.rows]
         self.dens = list(std.dens)
         self.basis: list[int] = []
@@ -393,15 +396,14 @@ def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
     return.  Float mode raises NumericBreakdown when verification fails."""
     std = _Standardizer(prog, exact)
     zero = std.zero
-    tab = _Tableau(std, 0 if exact else FEAS_TOL)
+    tab = _Tableau(std)
     residue = tab.phase1()
-    feas_tol = 0 if exact else FEAS_TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
-    if residue > feas_tol:
+    if residue > std.feas:
         y = _dual_from_basis(std, tab, phase1=True)
         if y is None:
             raise NumericBreakdown("cannot recover Farkas certificate")
         farkas = tuple(std.flip[i] * y[i] for i in range(std.nrows))
-        _verify_farkas(prog, farkas, exact)
+        _verify_farkas(prog, farkas, std.tol.feas)
         return LpOutcome(status=INFEASIBLE, farkas=farkas)
     if tab.n_art:
         tab.drive_out_artificials()
@@ -413,7 +415,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
             if tab.row_alive[i] and tab.basis[i] < std.ncols:
                 ray_u[tab.basis[i]] = -tab.value(i, unbounded_col)
         ray = std.to_user(ray_u, point=False)
-        _verify_ray(prog, ray, exact)
+        _verify_ray(prog, ray, std.tol.feas)
         return LpOutcome(status=UNBOUNDED, ray=ray)
 
     u = [zero] * std.ncols
@@ -469,28 +471,26 @@ def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
     `to_row`: in exact mode integers over common denominators, so each test
     compares the sign of an integer that is a positive multiple of the
     quantity it checks."""
-    t = 0 if exact else FEAS_TOL * (1 + max((abs(row[-1]) for row in std.rows), default=0))
     u_num, u_den = to_row(u, exact)
     z, z_den = to_row([yi / d for yi, d in zip(y, std.dens)], exact)
     for i, row in enumerate(std.rows):
         residual = dot(row, u_num) - row[-1] * u_den
-        if abs(residual) > t:
+        if abs(residual) > std.feas:
             shown = from_row(residual, std.dens[i] * u_den, exact)
             raise NumericBreakdown(f"primal residual {shown} on row {i}")
     for j in range(std.ncols):
-        if u_num[j] < -t:
+        if u_num[j] < -std.feas:
             raise NumericBreakdown(f"negative basic value u[{j}]={u[j]}")
         cj = std.cost[j]
         reduced = cj * z_den - std.cost_den * dot([row[j] for row in std.rows], z)
-        if reduced < -(0 if exact else FEAS_TOL * (1 + abs(cj))):
+        if reduced < -std.tol.feas * (1 + abs(cj)):
             shown = from_row(reduced, std.cost_den * z_den, exact)
             raise NumericBreakdown(f"dual infeasible: reduced cost {shown} at col {j}")
         if exact and u_num[j] > 0 and reduced != 0:
             raise NumericBreakdown("complementary slackness violated")
 
 
-def _verify_farkas(prog: LinearProgram, farkas, exact) -> None:
-    t = 0 if exact else FEAS_TOL
+def _verify_farkas(prog: LinearProgram, farkas, t) -> None:
     n = len(prog.objective)
     w = [0] * n
     delta = 0
@@ -521,8 +521,7 @@ def _verify_farkas(prog: LinearProgram, farkas, exact) -> None:
         raise NumericBreakdown(f"Farkas aggregate sup {sup} !< rhs {delta}")
 
 
-def _verify_ray(prog: LinearProgram, ray, exact) -> None:
-    t = 0 if exact else FEAS_TOL
+def _verify_ray(prog: LinearProgram, ray, t) -> None:
     improving = dot(prog.objective, ray)
     ok = improving < -t if prog.sense == "min" else improving > t
     if not ok:

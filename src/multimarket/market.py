@@ -236,14 +236,25 @@ def _discounted_prices(model: MarketModel, label: str) -> dict[str, tuple[Num, .
 # switch the document to float mode unless "mode" overrides.
 
 
-def _document_has_floats(obj) -> bool:
-    if isinstance(obj, float):
-        return True
-    if isinstance(obj, Mapping):
-        return any(_document_has_floats(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return any(_document_has_floats(v) for v in obj)
-    return False
+_MAX_DEPTH = 100  # no section of the schema nests more than a few levels
+
+
+def _document_has_floats(document) -> bool:
+    """Does any value of the document hold a JSON float?  Walks every value
+    without recursion; nesting deeper than `_MAX_DEPTH` raises SchemaError."""
+    found = False
+    stack = [(document, 0)]
+    while stack:
+        obj, depth = stack.pop()
+        if isinstance(obj, Mapping):
+            obj = obj.values()
+        elif not isinstance(obj, (list, tuple)):
+            found = found or isinstance(obj, float)
+            continue
+        if depth == _MAX_DEPTH:
+            raise SchemaError(f"document nested deeper than {_MAX_DEPTH} levels")
+        stack += [(v, depth + 1) for v in obj]
+    return found
 
 
 def load_market(document: Mapping) -> MarketModel:
@@ -274,7 +285,12 @@ def load_market(document: Mapping) -> MarketModel:
     if not isinstance(subs_spec, Sequence) or not subs_spec:
         raise SchemaError("document needs a non-empty 'submarkets' list")
 
-    rate_structure = document.get("rate_structure")
+    rates = None
+    if document.get("rate_structure") is not None:
+        # lazy import: multicurve builds on this module
+        from .multicurve import RateStructure, numeraire_from_rates
+
+        rates = RateStructure.from_document(tree, document["rate_structure"], exact)
     submarkets = []
     for entry in subs_spec:
         if not isinstance(entry, Mapping):
@@ -300,8 +316,10 @@ def load_market(document: Mapping) -> MarketModel:
             numeraire = {
                 node_id: parse_scalar(v, exact) for node_id, v in numeraire_raw.items()
             }
-        elif numeraire_raw is None and rate_structure is not None:
-            numeraire = _numeraire_from_rates(tree, rate_structure, label, exact)
+        elif numeraire_raw is None and rates is not None:
+            if label not in rates.spreads:
+                raise SchemaError(f"rate_structure lacks a spread entry for {label!r}")
+            numeraire = numeraire_from_rates(tree, rates, label)
         else:
             raise SchemaError(f"submarket {label!r} lacks a 'numeraire' map")
         submarkets.append(Submarket(label=label, dim=dim, assets=assets, numeraire=numeraire))
@@ -324,16 +342,6 @@ def load_market(document: Mapping) -> MarketModel:
             )
         )
     return make_model(tree, submarkets, bound_constant=bound_c, claims=claims, exact=exact)
-
-
-def _numeraire_from_rates(tree, rate_structure, label, exact) -> dict[str, Num]:
-    # lazy import: multicurve builds on this module
-    from .multicurve import RateStructure, numeraire_from_rates
-
-    rs = RateStructure.from_document(tree, rate_structure, exact)
-    if label not in rs.spreads:
-        raise SchemaError(f"rate_structure lacks a spread entry for {label!r}")
-    return numeraire_from_rates(tree, rs, label)
 
 
 def serialize_market(model: MarketModel) -> dict:

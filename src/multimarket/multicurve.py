@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gains import complete_self_financing, strategy_cost, terminal_value
 from .market import MarketModel, Submarket, make_model
-from .numbers import FEAS_TOL, Num, parse_scalar
+from .numbers import Num, parse_scalar, tolerances
 from .tree import ScenarioTree
 
 
@@ -167,7 +167,6 @@ def common_measure_check(model: MarketModel, certificate: DeflatorCertificate) -
     }
     labels = list(measures)
     max_tv: Num = 0
-    tol = 0 if model.exact else FEAS_TOL
     for i, one in enumerate(labels):
         for other in labels[i + 1:]:
             tv = sum(
@@ -175,7 +174,7 @@ def common_measure_check(model: MarketModel, certificate: DeflatorCertificate) -
             ) / 2
             if tv > max_tv:
                 max_tv = tv
-    common = max_tv <= tol
+    common = max_tv <= tolerances(model.exact).feas
     deterministic = all(
         len(set(model.numeraire_ratio(s.label).values())) == 1 for s in model.submarkets
     )

@@ -9,6 +9,7 @@ document to every LP solved downstream.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import isfinite, lcm
 from typing import Sequence, Union
@@ -17,11 +18,18 @@ from .errors import SchemaError
 
 Num = Union[Fraction, float]
 
-# The float-mode tolerance policy; rational mode compares exactly.
+# The tolerance policy: one row per mode, all zeros in rational mode.
 FEAS_TOL = 1e-9  # LP feasibility and optimality, probability sums, budgets
 MEMBER_TOL = 1e-8  # measure membership and orthogonality to gains
 GAP_TOL = 1e-7  # duality gaps, certificates and price bounds
 ZERO_TOL = 1e-12  # a witness entry this small counts as zero (boundary)
+Tolerances = namedtuple("Tolerances", "feas member gap zero")
+_TOLERANCES = {True: Tolerances(0, 0, 0, 0), False: Tolerances(FEAS_TOL, MEMBER_TOL, GAP_TOL, ZERO_TOL)}
+
+
+def tolerances(exact: bool) -> Tolerances:
+    """The tolerance row of a numeric mode: every check compares against it."""
+    return _TOLERANCES[exact]
 
 
 def parse_scalar(raw, exact: bool = True) -> Num:

@@ -50,7 +50,7 @@ from .gains import (
 )
 from .lp import EQ, INFEASIBLE, LE, OPTIMAL, lp, solve_lp
 from .market import Claim, MarketModel
-from .numbers import FEAS_TOL, GAP_TOL, MEMBER_TOL, ZERO_TOL, Num, dot, from_row, to_row
+from .numbers import Num, dot, from_row, to_row, tolerances
 
 VENUE_GLOBAL = "global"
 VENUE_LOWER = "lower"
@@ -93,7 +93,7 @@ def terminal_asset_claim(model: MarketModel, label: str, asset: int = 0) -> dict
 
 def _gap(primal: Num, dual: Num, exact: bool) -> Num:
     gap = primal - dual
-    if (gap != 0) if exact else abs(gap) > GAP_TOL * (1 + abs(primal)):
+    if abs(gap) > tolerances(exact).gap * (1 + abs(primal)):
         raise certificate_failure(exact, gap, f"duality gap {gap}")
     return gap
 
@@ -111,31 +111,31 @@ def _certify(model, h, scope, allocation, hedge, q) -> tuple[Num, Num]:
     3. The allocation's total equals the value of the claim under q.
 
     Steps 2 and 3 take q, the gains, the growth ratios and h as rows of
-    `to_row`, so rational mode multiplies integers only.  Exact mode allows
-    no slack; float mode FEAS_TOL for feasibility and the budgets and
-    MEMBER_TOL for the cone.
+    `to_row`, so rational mode multiplies integers only.  The mode's
+    tolerance row gives the slack: ``feas`` for feasibility and the budgets,
+    ``member`` for the cone, all zero in rational mode.
     """
     exact = model.exact
     joint = scope == GLOBAL
-    feas, member = (0, 0) if exact else (FEAS_TOL, MEMBER_TOL)
+    tol = tolerances(exact)
     leaves = model.tree.leaves
     wealth = terminal_value(model, allocation, hedge)
     for k, a in enumerate(leaves):
         short = h[k] - wealth[a]
-        if short > feas * (1 + abs(h[k])):
+        if short > tol.feas * (1 + abs(h[k])):
             raise certificate_failure(exact, short, f"hedge misses the claim by {short} at {a!r}")
     if joint:
         for lab, x in allocation.items():
-            if x < -feas:
+            if x < -tol.feas:
                 raise certificate_failure(exact, x, f"negative allocation {x} to {lab!r}")
-    if any(v < -member for v in q):
+    if any(v < -tol.member for v in q):
         raise certificate_failure(exact, min(q), f"cone witness {min(q)} is negative")
     qn, qd = to_row(q, exact)
     check_orthogonal(model, scope, scope_basis(model, scope), qn, qd, "cone witness")
     for lab in allocation:
         rn, rd = atom_row(model, ("ratio_row", lab), model.numeraire_ratio(lab))
         mass, unit = dot(rn, qn), rd * qd
-        if mass > unit + feas or (not joint and mass < unit - feas):
+        if mass > unit + tol.feas or (not joint and mass < unit - tol.feas):
             mass = from_row(mass, unit, exact)
             raise certificate_failure(exact, mass, f"cone witness misses the budget of {lab!r}: {mass}")
     hn, hd = to_row(h, exact)
@@ -209,7 +209,8 @@ def _price_venue(model: MarketModel, h: tuple[Num, ...], scope: str, labels) -> 
     else:
         ratio = model.numeraire_ratio(scope)
         values = {a: ratio[a] * v for a, v in zip(leaves, q)}
-    boundary = any(v == 0 for v in q) if model.exact else any(abs(v) <= ZERO_TOL for v in q)
+    zero = tolerances(model.exact).zero
+    boundary = any(abs(v) <= zero for v in q)
     witness = DualWitness(kind="cone" if joint else "measure", values=values, boundary=boundary)
     return PriceReport(
         venue=VENUE_GLOBAL if joint else f"submarket:{scope}",
@@ -327,8 +328,7 @@ def dual_certificate_global(
     value = price_fractional(
         model, dict(zip(tree.leaves, residual)), selector.weight, scope=GLOBAL, sense="max"
     )
-    tol = 0 if model.exact else GAP_TOL
-    if abs(value) > tol:
+    if abs(value) > tolerances(model.exact).gap:
         raise CertificateViolation(value)
     return value
 
@@ -339,7 +339,7 @@ def dual_bounds_global(model: MarketModel, claim) -> tuple[Num, Num]:
     lower = price_fractional(model, claim, MeasureSelector.max_ratio(model).weight)
     upper = price_fractional(model, claim, MeasureSelector.min_ratio(model).weight)
     price = price_global(model, claim).price
-    tol = 0 if model.exact else GAP_TOL
+    tol = tolerances(model.exact).gap
     if not (lower <= price + tol and price <= upper + tol):
         raise certificate_failure(
             model.exact, price, f"bounds {lower}, {upper} miss price {price}"
@@ -459,8 +459,7 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
     each expectation and comparing; ConditionNotMet is raised otherwise
     (callers can fall back to price_global, which is also the cross-check).
     The concentrated-funding LP and the joint LP must both price the claim
-    at the shortcut: exactly in rational mode, within GAP_TOL (1 + |price|)
-    in float mode.
+    at the shortcut, within the mode's ``gap`` tolerance times (1 + |price|).
     """
     _require_global_nfl(model)
     selector = MeasureSelector.linear_combination(model, lam)
@@ -469,8 +468,7 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
         ratio = model.numeraire_ratio(lab)
         hi = price_fractional(model, ratio, selector.weight, sense="max")
         lo = price_fractional(model, ratio, selector.weight, sense="min")
-        tol = 0 if model.exact else FEAS_TOL
-        if abs(hi - lo) > tol:
+        if abs(hi - lo) > tolerances(model.exact).feas:
             raise ConditionNotMet(
                 f"expected growth of {lab!r} varies over the measure set: [{lo}, {hi}]"
             )
@@ -482,7 +480,7 @@ def price_constant_ratio(model: MarketModel, claim, lam: Mapping[str, Num]) -> C
     # all funding in tau_max, trading global: the joint venue with its budget row alone
     concentrated = _price_venue(model, _payoff_vector(model, claim), GLOBAL, (tau_max,))
     full = price_global(model, claim)
-    tol = 0 if model.exact else GAP_TOL * (1 + abs(price))
+    tol = tolerances(model.exact).gap * (1 + abs(price))
     for name, value in (("concentrated funding LP", concentrated.price), ("joint LP", full.price)):
         if abs(value - price) > tol:
             raise certificate_failure(model.exact, value, f"{name} {value} != shortcut {price}")

@@ -19,7 +19,7 @@ from .errors import (
     ProbabilitySumMismatch,
     SchemaError,
 )
-from .numbers import FEAS_TOL, Num, parse_scalar
+from .numbers import Num, parse_scalar, tolerances
 
 ROOT_ID = "r"
 
@@ -125,27 +125,16 @@ def _explicit_nodes(spec) -> dict[str, Node]:
 
 
 def _branching_nodes(branching: Sequence[int]) -> dict[str, Node]:
+    """Nodes of per-level branching counts: the (id, parent) listing,
+    level by level, built as an explicit listing."""
     if not branching or any((not isinstance(b, int)) or b < 1 for b in branching):
         raise MalformedTopology(f"branching counts must be positive ints: {branching!r}")
-    levels: list[list[str]] = [[ROOT_ID]]
-    parents: dict[str, str | None] = {ROOT_ID: None}
+    level: list[tuple[str, str | None]] = [(ROOT_ID, None)]
+    listing = level[:]
     for count in branching:
-        nxt: list[str] = []
-        for node_id in levels[-1]:
-            for k in range(count):
-                child = f"{node_id}.{k}"
-                parents[child] = node_id
-                nxt.append(child)
-        levels.append(nxt)
-    children: dict[str, list[str]] = {n: [] for n in parents}
-    for node_id, parent in parents.items():
-        if parent is not None:
-            children[parent].append(node_id)
-    nodes: dict[str, Node] = {}
-    for t, level in enumerate(levels):
-        for node_id in level:
-            nodes[node_id] = Node(node_id, t, parents[node_id], tuple(children[node_id]))
-    return nodes
+        level = [(f"{node_id}.{k}", node_id) for node_id, _ in level for k in range(count)]
+        listing += level
+    return _explicit_nodes(listing)
 
 
 def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> ScenarioTree:
@@ -155,7 +144,7 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
     or an explicit node listing of ``(id, parent)`` pairs / ``{"id", "parent"}``
     dicts.  ``atom_probs`` maps leaf id to probability, or lists probabilities
     in leaf order.  Probabilities must be strictly positive and sum to one
-    (exactly in rational mode, within `FEAS_TOL` in float mode).
+    (within the mode's ``feas`` tolerance, so exactly in rational mode).
     """
     if branching_spec and not isinstance(branching_spec[0], int):
         nodes = _explicit_nodes(branching_spec)
@@ -190,10 +179,7 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
         if p <= 0:
             raise NonPositiveProbability(f"atom {leaf!r} has probability {p}")
     total = sum(probs.values())
-    if exact:
-        if total != 1:
-            raise ProbabilitySumMismatch(f"atom probabilities sum to {total}, not 1")
-    elif abs(total - 1) > FEAS_TOL:
+    if abs(total - 1) > tolerances(exact).feas:
         raise ProbabilitySumMismatch(f"atom probabilities sum to {total}, not 1")
 
     # nodes are in time order, so in reverse every child precedes its parent

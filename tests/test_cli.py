@@ -80,6 +80,18 @@ def test_deflator_reports_measures(capsys, m2_path):
     assert payload["state_price_deflators"]["tau2"]["r"] == "16/15"
 
 
+def test_deflator_on_arbitrage_model_exits_3(capsys, m1_path):
+    code, out = run_cli(capsys, "deflator", m1_path)
+    assert code == 3
+    assert json.loads(out)["no_free_lunch"] is False
+
+
+def test_price_upper_m2(capsys, m2_path):
+    code, out = run_cli(capsys, "price", m2_path, "--claim", "Stau1", "--venue", "upper")
+    assert code == 0
+    assert json.loads(out)["price"] == "4"
+
+
 def test_price_global_m2(capsys, m2_path):
     code, out = run_cli(capsys, "price", m2_path, "--claim", "Stau1", "--venue", "global")
     assert code == 0
@@ -309,6 +321,7 @@ def _rated(doc, rate_structure):
         lambda doc: _rated(doc, 5),
         lambda doc: _rated(doc, {"base_rate": ["0"], "spreads": {"tau1": {"r": "0"}}}),
         lambda doc: _rated(doc, {"base_rate": {"r": "0"}, "spreads": {"tau1": 5}}),
+        lambda doc: {**doc, "rate_structure": 5},
     ],
     ids=[
         "node-entry",
@@ -324,6 +337,7 @@ def _rated(doc, rate_structure):
         "rate-structure-int",
         "base-rate-list",
         "spread-not-map",
+        "rate-structure-unused",
     ],
 )
 def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):
@@ -333,6 +347,51 @@ def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):
     bad.write_text(json.dumps(defect(document)))
     code, _ = run_cli(capsys, command, str(bad))
     assert code == 2
+
+
+def _nested(tmp_path, m2_path, kind):
+    spec = tmp_path / f"{kind}.json"
+    if kind == "unclosed-lists":
+        spec.write_text("[" * 100_000)
+    else:
+        # m2 without "mode", so the mode is inferred, plus an unused section
+        # nested 960 lists deep
+        with open(m2_path) as handle:
+            document = json.load(handle)
+        del document["mode"]
+        text = json.dumps(document)
+        spec.write_text(text[:-1] + ', "zc_quotes": ' + "[" * 960 + '"1"' + "]" * 960 + "}")
+    return str(spec)
+
+
+@pytest.mark.parametrize("command", ["validate", "arb", "verify"])
+@pytest.mark.parametrize("kind", ["unclosed-lists", "unused-deep-section"])
+def test_deeply_nested_document_exits_2(m2_path, tmp_path, command, kind):
+    out = _run_cli(command, _nested(tmp_path, m2_path, kind))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "zc_quotes",
+    [
+        [{"tenor": "t3m", "price": "97/100"}, {"tenor": "t6m", "price": "96/100"}],
+        {"quotes": 5},
+        {"quotes": [{"tenor": "t3m", "price": "97/100"}, {"tenor": "t6m"}]},
+        {"quotes": [1, 2]},
+        {"quotes": [{"tenor": 5, "price": "97/100"}, {"tenor": "t6m", "price": "96/100"}]},
+    ],
+    ids=["list", "quotes-int", "quote-without-price", "int-entries", "tenor-not-string"],
+)
+def test_demo_cotrade_malformed_quotes_exit_2(cotrade_path, tmp_path, zc_quotes):
+    with open(cotrade_path) as handle:
+        document = json.load(handle)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**document, "zc_quotes": zc_quotes}))
+    out = _run_cli("demo", "cotrade", str(bad))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "SchemaError" in out.stderr
 
 
 def test_chain_deeper_than_the_recursion_limit_validates(capsys, tmp_path):
