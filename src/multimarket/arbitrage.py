@@ -17,7 +17,8 @@ submarket LP is solved.  The deflator and every price witness pass one
 orthogonality check, `check_orthogonal`, against gain rows kept per scope
 in the row format of `numbers.to_row`: integer numerators over one
 denominator in rational mode, so the checks multiply integers only, and the
-floats themselves over 1.0 in float mode.
+floats themselves over 1.0 in float mode.  The deflator LP is built from
+the same rows and hands them to the simplex as they are (`lp.prepared_lp`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .gains import (
     strategy_from_coefficients,
     terminal_value,
 )
-from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, lp, solve_lp
+from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, lp, prepared_lp, solve_lp
 from .market import MarketModel
 from .numbers import Num, dot, from_row, to_row, tolerances
 
@@ -103,17 +104,6 @@ class MeasureSelector:
 
     scope: str
     weight: Mapping[str, Num]
-
-    @staticmethod
-    def hat(model: MarketModel, label: str) -> "MeasureSelector":
-        """The classical uni-market measure set of a submarket."""
-        model.submarket(label)
-        return MeasureSelector(scope=label, weight=model.numeraire_ratio(label))
-
-    @staticmethod
-    def global_ratio(model: MarketModel, label: str) -> "MeasureSelector":
-        """Global cone weighted by one submarket's numeraire growth."""
-        return MeasureSelector(scope=GLOBAL, weight=model.numeraire_ratio(label))
 
     @staticmethod
     def linear_combination(model: MarketModel, lam: Mapping[str, Num]) -> "MeasureSelector":
@@ -198,16 +188,6 @@ def check_orthogonal(model: MarketModel, scope: str, basis, qn, qd, what: str) -
             raise certificate_failure(exact, r, f"{what} not orthogonal to gain {where}: {r}")
 
 
-def _orthogonality_rows(model: MarketModel, basis: Sequence[GainAtom]):
-    """P-weighted orthogonality rows E[X g] = 0 over atom variables."""
-    tree = model.tree
-    probs = [tree.atom_probs[a] for a in tree.leaves]
-    return [
-        ([p * v for p, v in zip(probs, g.payoff)], EQ, 0)
-        for g in basis
-    ]
-
-
 def _witness_from_coeffs(
     model: MarketModel, basis: Sequence[GainAtom], coeffs: Sequence[Num], scope: str
 ) -> ArbitrageWitness | None:
@@ -271,16 +251,18 @@ def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertifi
     tree = model.tree
     atoms = tree.leaves
     basis = scope_basis(model, scope)
-    probs = [tree.atom_probs[a] for a in atoms]
     # variables: s per atom (>= 0), then the floor t (free); x = t + s, so
-    # t's coefficient in each row is that row's sum
-    rows = [
-        (coeffs + [sum(coeffs)], rel, rhs)
-        for coeffs, rel, rhs in _orthogonality_rows(model, basis) + [(probs, EQ, 1)]
-    ]
+    # t's coefficient in each row is that row's sum.  Rows E[x g] = 0 and
+    # E[x] = 1 from the memo's rows: P∘g is their entrywise product
+    pn, pd = atom_row(model, ("prob_row",), tree.atom_probs)
+    rows = []
+    for gn, gd in gain_rows(model, scope):
+        coeffs = [p * g for p, g in zip(pn, gn)]
+        rows.append((coeffs + [sum(coeffs)], pd * gd, EQ, 0))
+    rows.append((pn + [sum(pn)], pd, EQ, 1))
     objective = [0] * len(atoms) + [1]
     bounds = [(0, None)] * len(atoms) + [(None, None)]
-    out = solve_lp(lp("max", objective, rows, bounds), model.exact)
+    out = solve_lp(prepared_lp("max", objective, bounds, rows, model.exact), model.exact)
     if out.status == INFEASIBLE:
         coeffs = [-y for y in out.farkas[: len(basis)]]
     elif out.status != OPTIMAL:
@@ -291,7 +273,7 @@ def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertifi
         t = out.x[-1]
         certificate = DeflatorCertificate(
             scope=scope,
-            xstar={a: t + s for a, s in zip(atoms, out.x)},
+            xstar={a: t + s if s else t for a, s in zip(atoms, out.x)},
             basis_checked=basis,
         )
         certificate.verify(model)
@@ -375,45 +357,3 @@ def state_price_deflator(
         ) / node_prob
         out[node_id] = cond / sub.numeraire[node_id]
     return out
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    member: bool
-    residuals: Mapping[str, Num]
-    equivalent: bool
-
-
-def check_measure_membership(
-    model: MarketModel, q: Mapping[str, Num], selector: MeasureSelector
-) -> MembershipReport:
-    """Does q lie in the closed weighted measure set of the selector?
-
-    Recovers the implied deflator X = (q/P)/Z and tests orthogonality
-    against the selector cone's gains.  Atoms with zero q-mass keep the
-    measure on the set's boundary: membership in the closure is reported
-    with ``equivalent=False``.
-    """
-    tree = model.tree
-    _require_positive(selector.weight)
-    tol = tolerances(model.exact).member
-    total = sum(q.get(a, 0) for a in tree.leaves)
-    if any(q.get(a, 0) < -tol for a in tree.leaves) or abs(total - 1) > tol:
-        return MembershipReport(member=False, residuals={}, equivalent=False)
-    implied_x = {
-        a: q.get(a, 0) / (tree.atom_probs[a] * selector.weight[a])
-        for a in tree.leaves
-    }
-    basis = scope_basis(model, selector.scope)
-    residuals = {}
-    member = True
-    for g in basis:
-        r = sum(
-            tree.atom_probs[a] * implied_x[a] * g.payoff[k]
-            for k, a in enumerate(tree.leaves)
-        )
-        residuals[f"{g.submarket}/{g.node}/{g.asset}"] = r
-        if abs(r) > tol:
-            member = False
-    equivalent = member and all(q.get(a, 0) > 0 for a in tree.leaves)
-    return MembershipReport(member=member, residuals=residuals, equivalent=equivalent)

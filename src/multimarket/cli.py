@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .generate import random_model
-from .market import MarketModel, load_market, serialize_market, validate_model
+from .market import MarketModel, load_market, serialize_market, validate_model, walk_document
 from .numbers import format_sig12, parse_scalar, scalar_to_json, tolerances
 from .pricing import (
     dual_bounds_global,
@@ -79,8 +79,16 @@ def _read_document(path: str) -> dict:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
+def _market(document) -> MarketModel:
+    """`load_market` under one nesting limit for every document: it walks
+    a document only to infer its mode, so one that names it is walked here."""
+    if isinstance(document, dict) and document.get("mode"):
+        walk_document(document)
+    return load_market(document)
+
+
 def _load(path: str) -> MarketModel:
-    return load_market(_read_document(path))
+    return _market(_read_document(path))
 
 
 def _with_mode(model: MarketModel, mode: str | None) -> MarketModel:
@@ -150,7 +158,7 @@ def cmd_validate(args) -> int:
         _emit({"ok": False, "issues": [{"code": "Unreadable", "detail": str(exc)}]})
         return EXIT_VALIDATION
     try:
-        model = load_market(document)
+        model = _market(document)
     except MarketError as exc:
         _emit({"ok": False, "issues": [{"code": type(exc).__name__, "detail": str(exc)}]})
         return EXIT_VALIDATION
@@ -354,7 +362,7 @@ def cmd_demo_cotrade(args) -> int:
     from .multicurve import ZcQuote, cotrade_arbitrage_demo
 
     document = _read_document(args.spec)
-    model = load_market(document)
+    model = _market(document)
     quotes_doc = document.get("zc_quotes")
     quotes = quotes_doc.get("quotes") if isinstance(quotes_doc, dict) else None
     if not (

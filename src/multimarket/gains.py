@@ -5,12 +5,16 @@ claims as one-step node-indexed predictable positions, so the attainable
 zero-cost cone of a submarket is spanned by the elementary gains: hold one
 unit of one asset over one step under one node, financed by the numeraire.
 The spanning reduction is a tested property, not an assumption (see the
-arbitrage test suite).
+arbitrage test suite).  A gain is built per child of its node, over the
+atoms under that child; its other entries are exact zeros.  The deflator
+and cone LPs take these gains as the memo's integer rows of them
+(`arbitrage.gain_rows`), the rows a LinearProgram of them would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
@@ -52,19 +56,19 @@ def _elementary_gains(model: MarketModel, label: str) -> tuple[GainAtom, ...]:
     sub = model.submarket(label)
     tree = model.tree
     tilde = discounted_prices(model, label)
+    index = {a: k for k, a in enumerate(tree.leaves)}
+    zero = Fraction(0) if model.exact else 0.0
     out = []
     for node_id in tree.nonterminal():
-        for i in range(sub.dim):
-            payoff = []
-            for leaf in tree.leaves:
-                path = tree.path(leaf)
-                if node_id in path:
-                    succ = path[path.index(node_id) + 1]
-                    move = tilde[succ][i] - tilde[node_id][i]
-                    payoff.append(sub.numeraire[leaf] * move)
-                else:
-                    payoff.append(sub.numeraire[leaf] * 0)
-            out.append(GainAtom(label, node_id, i, tuple(payoff)))
+        payoffs = [[zero] * len(index) for _ in range(sub.dim)]
+        start = tilde[node_id]
+        for child in tree.children(node_id):
+            moves = [v - s for v, s in zip(tilde[child], start)]
+            for a in tree.atoms_under(child):
+                k, num = index[a], sub.numeraire[a]
+                for payoff, move in zip(payoffs, moves):
+                    payoff[k] = num * move
+        out += [GainAtom(label, node_id, i, tuple(p)) for i, p in enumerate(payoffs)]
     return tuple(out)
 
 

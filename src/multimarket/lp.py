@@ -7,7 +7,11 @@ one positive denominator, in lowest terms, and pivots fraction-free
 (Edmonds; Bareiss): Fractions are built only for the values a solve returns.
 Pivots update only the nonzero columns of the pivot row.  Bland's rule sees
 the same exact values as over Fractions, so the pivot path is the same.
-Every outcome carries a certificate that is checked before returning:
+Rows reach the tableau in the row format of `numbers.to_row`: a
+LinearProgram's are cast there, while `prepared_lp` takes rows a caller
+holds in it (the deflator and cone LPs take theirs from the per-model memo)
+and gives the same standard form, entry for entry.  Every outcome carries a
+certificate that is checked before returning:
 
 * optimal: primal and dual solutions with complementary slackness and a
   duality gap within the mode's feasibility tolerance (zero when exact),
@@ -19,6 +23,7 @@ Every outcome carries a certificate that is checked before returning:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -92,22 +97,45 @@ class _Standardizer:
     positive denominators ``dens[i]`` and ``cost_den``, in lowest terms; in
     float mode the values themselves, over 1.0.  ``feas`` scales the
     mode's feasibility tolerance by the largest right-hand side.
+    `prepared_lp` builds the same rows from rows already in `to_row`
+    format.
     """
 
     def __init__(self, prog: LinearProgram, exact: bool):
+        cast = Fraction if exact else float
+        rows = [(*to_row([cast(a) for a in coeffs], exact), rel, cast(b)) for coeffs, rel, b in prog.rows]
+        self._build(prog.sense, prog.objective, prog.bounds, rows, exact)
         self.prog = prog
+
+    @cached_property
+    def prog(self) -> LinearProgram:
+        """The user-form program of prepared rows, rebuilt from the stored
+        rows: a Farkas vector and a ray are checked against it."""
+        exact = self.exact
+        rows = []
+        for row, den, f, slack in zip(self.rows, self.dens, self.flip, self.slack_col):
+            coeffs = tuple(from_row(f * s * row[col], den, exact) for (col, s), *_ in self.var_cols)
+            rel = EQ if slack is None else LE if f * row[slack] > 0 else GE
+            rows.append((coeffs, rel, from_row(f * row[-1], den, exact) + dot(coeffs, self.shift)))
+        return LinearProgram(self.sense, self.objective, tuple(rows), self.bounds)
+
+    def _build(self, sense, objective, bounds, rows, exact: bool) -> None:
+        """Lay out the columns, the cost row and the stored rows of a
+        program whose rows are (numerators, denominator, rel, rhs) with the
+        coefficients in the row format of `to_row`."""
         self.exact = exact
         self.tol = tolerances(exact)
-        zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-        self.zero, self.one = zero, one
+        zero = Fraction(0) if exact else 0.0
+        self.zero, self.one = zero, zero + 1
         cast = Fraction if exact else float
+        self.sense, self.objective, self.bounds = sense, objective, bounds
 
         # user var j -> [(std col, sign)] plus a constant shift:
         #   x_j = shift_j + sum(sign * u_col)
         self.var_cols: list[list[tuple[int, int]]] = []
         self.shift: list[Num] = []
         ncols = 0
-        for lo, hi in prog.bounds:
+        for lo, hi in bounds:
             if lo is not None:
                 self.var_cols.append([(ncols, 1)])
                 self.shift.append(cast(lo))
@@ -122,64 +150,76 @@ class _Standardizer:
                 ncols += 2
         # slack columns follow, one per inequality row
         self.slack_col: list[int | None] = []
-        for _, rel, _ in prog.rows:
+        for *_, rel, _ in rows:
             if rel == EQ:
                 self.slack_col.append(None)
             else:
                 self.slack_col.append(ncols)
                 ncols += 1
         self.ncols = ncols
-        self.nrows = len(prog.rows)
-        self.sense_sign = sign = -1 if prog.sense == "max" else 1
+        self.nrows = len(rows)
+        self.sense_sign = sign = -1 if sense == "max" else 1
 
-        objective = []
-        for j, o in enumerate(prog.objective):
-            cj = cast(o) * sign
-            if cj:
-                objective += [(col, cj if s > 0 else -cj) for col, s in self.var_cols[j]]
-        self.cost, self.cost_den = self._stored(objective, zero)
+        cost = [0 if exact else 0.0] * ncols + [zero]
+        for j, o in enumerate(objective):
+            if o:
+                cj = cast(o) * sign
+                for col, s in self.var_cols[j]:
+                    cost[col] = cj if s > 0 else -cj
+        self.cost, self.cost_den = to_row(cost, exact)
 
-        # rows sign-normalized to b >= 0; flip records the sign applied
-        self.rows: list[list] = []
-        self.dens: list = []
-        self.flip: list[int] = []
-        for (coeffs, rel, b), slack in zip(prog.rows, self.slack_col):
-            entries = []
-            shift_total = zero
-            for j, a in enumerate(coeffs):
-                if not a:
-                    continue
-                aj = cast(a)
-                if self.shift[j]:
-                    shift_total += aj * self.shift[j]
-                entries += [(col, aj if s > 0 else -aj) for col, s in self.var_cols[j]]
+        # stored column -> (user column, sign); rows sign-normalized to
+        # b >= 0, flip records the sign applied
+        src = [(j, s) for j, cols in enumerate(self.var_cols) for _, s in cols]
+        pad = [0 if exact else 0.0] * (ncols - len(src))
+        shifted = [j for j, v in enumerate(self.shift) if v]
+        self.rows, self.dens, self.flip = [], [], []
+        for (nums, den, rel, rhs), slack in zip(rows, self.slack_col):
+            if exact:
+                row = [nums[j] * s for j, s in src]
+            else:
+                # a zero coefficient is stored as 0.0, whatever its sign
+                row = [float(nums[j]) * s or 0.0 for j, s in src]
+            last = rhs * den
+            if shifted:
+                shift_total = zero
+                for j in shifted:
+                    shift_total += nums[j] * self.shift[j]
+                last -= shift_total
+            if exact and last.denominator != 1:
+                scale = last.denominator
+                row, den, last = [v * scale for v in row], den * scale, last * scale
+            row += pad + [int(last) if exact else last]
             if slack is not None:
-                entries.append((slack, one if rel == LE else -one))
-            row, den = self._stored(entries, cast(b) - shift_total)
+                row[slack] = den if rel == LE else -den
+            if exact:
+                den = _lowest(row, den)
             self.flip.append(-1 if row[-1] < 0 else 1)
             self.rows.append([-v for v in row] if row[-1] < 0 else row)
             self.dens.append(den)
         self.feas = self.tol.feas * (1 + max((abs(row[-1]) for row in self.rows), default=0))
 
-    def _stored(self, entries, last) -> tuple[list, Num]:
-        """The stored row of width ncols + 1 with ``entries`` ((col, value)
-        pairs) and ``last`` as its final entry, with its denominator."""
-        row = [0 if self.exact else 0.0] * (self.ncols + 1)
-        for col, v in entries:
-            row[col] = v
-        row[-1] = last
-        return to_row(row, self.exact)
-
     def to_user(self, u: Sequence[Num], point: bool = True) -> tuple[Num, ...]:
         """The user variables of the standard point u; a direction (``point``
         false) maps the same way without the bounds' shift."""
         out = []
-        for j in range(len(self.prog.objective)):
+        for j, cols in enumerate(self.var_cols):
             v = self.shift[j] if point else self.zero
-            for col, s in self.var_cols[j]:
-                v = v + s * u[col]
+            for col, s in cols:
+                if u[col] or not self.exact:  # adding an exact zero changes nothing
+                    v = v + s * u[col]
             out.append(v)
         return tuple(out)
+
+
+def prepared_lp(sense, objective, bounds, rows, exact: bool) -> _Standardizer:
+    """The standardizer of lp(sense, objective, rows, bounds) from rows
+    given as (numerators, denominator, rel, rhs) with the coefficients in
+    the row format of `to_row`: the rows `_Standardizer` builds, without
+    its casts.  `solve_lp` takes it in place of the LinearProgram."""
+    std = _Standardizer.__new__(_Standardizer)
+    std._build(sense, tuple(objective), tuple(bounds), rows, exact)
+    return std
 
 
 def _lowest(row: list[int], den: int) -> int:
@@ -331,14 +371,12 @@ class _Tableau:
             cost = [0] * (self.n_real + 1)
             for i in need_art:
                 scale = den // self.dens[i]
-                for j, v in enumerate(self.rows[i]):
-                    cost[j] -= scale * v
+                cost = [c - scale * v for c, v in zip(cost, self.rows[i])]
             cost_den = [_lowest(cost, den)]
         else:
             cost = [0.0] * (self.n_real + 1)
             for i in need_art:
-                for j, v in enumerate(self.rows[i]):
-                    cost[j] = cost[j] - v
+                cost = [c - v for c, v in zip(cost, self.rows[i])]
             cost_den = [1.0]
         if self._optimize(cost, cost_den) is not None:
             raise NumericBreakdown("phase-1 objective unbounded")
@@ -391,10 +429,11 @@ def _solve_square(matrix: list[list[Num]], rhs: list[Num], tol, exact: bool) -> 
     return [from_row(a[i][n], dens[i], exact) for i in range(n)]
 
 
-def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
+def solve_lp(prog: LinearProgram | _Standardizer, exact: bool = True) -> LpOutcome:
     """Solve with fixed deterministic pivoting; certificates verified before
-    return.  Float mode raises NumericBreakdown when verification fails."""
-    std = _Standardizer(prog, exact)
+    return.  Float mode raises NumericBreakdown when verification fails.
+    ``prog`` is a LinearProgram or a `prepared_lp`, whose own mode holds."""
+    std = prog if isinstance(prog, _Standardizer) else _Standardizer(prog, exact)
     zero = std.zero
     tab = _Tableau(std)
     residue = tab.phase1()
@@ -403,7 +442,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
         if y is None:
             raise NumericBreakdown("cannot recover Farkas certificate")
         farkas = tuple(std.flip[i] * y[i] for i in range(std.nrows))
-        _verify_farkas(prog, farkas, std.tol.feas)
+        _verify_farkas(std.prog, farkas, std.tol.feas)
         return LpOutcome(status=INFEASIBLE, farkas=farkas)
     if tab.n_art:
         tab.drive_out_artificials()
@@ -415,7 +454,7 @@ def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
             if tab.row_alive[i] and tab.basis[i] < std.ncols:
                 ray_u[tab.basis[i]] = -tab.value(i, unbounded_col)
         ray = std.to_user(ray_u, point=False)
-        _verify_ray(prog, ray, std.tol.feas)
+        _verify_ray(std.prog, ray, std.tol.feas)
         return LpOutcome(status=UNBOUNDED, ray=ray)
 
     u = [zero] * std.ncols
@@ -423,7 +462,10 @@ def solve_lp(prog: LinearProgram, exact: bool = True) -> LpOutcome:
         if tab.row_alive[i] and tab.basis[i] < std.ncols:
             u[tab.basis[i]] = tab.value(i, -1)
     x = std.to_user(u)
-    value = dot(prog.objective, x)
+    if std.exact:  # the zero terms of the objective add nothing
+        value = sum((c * v for c, v in zip(std.objective, x) if c), std.zero)
+    else:
+        value = dot(std.objective, x)
     y = _dual_from_basis(std, tab, phase1=False)
     if y is None:
         raise NumericBreakdown("cannot recover dual solution")

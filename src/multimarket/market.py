@@ -239,9 +239,10 @@ def _discounted_prices(model: MarketModel, label: str) -> dict[str, tuple[Num, .
 _MAX_DEPTH = 100  # no section of the schema nests more than a few levels
 
 
-def _document_has_floats(document) -> bool:
+def walk_document(document) -> bool:
     """Does any value of the document hold a JSON float?  Walks every value
-    without recursion; nesting deeper than `_MAX_DEPTH` raises SchemaError."""
+    without recursion; nesting deeper than `_MAX_DEPTH` raises SchemaError.
+    `load_market` walks a document only to infer its mode."""
     found = False
     stack = [(document, 0)]
     while stack:
@@ -264,7 +265,7 @@ def load_market(document: Mapping) -> MarketModel:
     mode = document.get("mode")
     if mode not in (None, "rational", "float"):
         raise SchemaError(f"unknown mode {mode!r}")
-    exact = (mode != "float") if mode else not _document_has_floats(document)
+    exact = (mode != "float") if mode else not walk_document(document)
 
     tree_spec = document.get("tree")
     if not isinstance(tree_spec, Mapping):

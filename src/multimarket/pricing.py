@@ -29,6 +29,7 @@ from .arbitrage import (
     check_global_nfl,
     check_orthogonal,
     check_submarket_nfl,
+    gain_rows,
     scope_basis,
 )
 from .errors import (
@@ -48,7 +49,7 @@ from .gains import (
     strategy_from_coefficients,
     terminal_value,
 )
-from .lp import EQ, INFEASIBLE, LE, OPTIMAL, lp, solve_lp
+from .lp import EQ, INFEASIBLE, LE, OPTIMAL, prepared_lp, solve_lp
 from .market import Claim, MarketModel
 from .numbers import Num, dot, from_row, to_row, tolerances
 
@@ -175,10 +176,11 @@ def price_submarket(model: MarketModel, claim, label: str) -> PriceReport:
 def _cone_lp(model: MarketModel, h, scope: str, budgets, sense: str):
     """The one LP behind every price: optimize E[X H] = h.q over deflator-cone
     directions q = P X >= 0 on the atoms, with one row q.g == 0 per gain g of
-    `scope` and, after them, one row (w, rel, 1) per budget (w, rel)."""
-    rows = [(g.payoff, EQ, 0) for g in scope_basis(model, scope)]
-    rows += [(w, rel, 1) for w, rel in budgets]
-    return solve_lp(lp(sense, h, rows), model.exact)
+    `scope` and, after them, one row (w, rel, 1) per budget (w, rel), w a
+    row of `to_row`.  The gain rows are the memo's."""
+    rows = [(gn, gd, EQ, 0) for gn, gd in gain_rows(model, scope)]
+    rows += [(wn, wd, rel, 1) for (wn, wd), rel in budgets]
+    return solve_lp(prepared_lp(sense, h, [(0, None)] * len(h), rows, model.exact), model.exact)
 
 
 def _price_venue(model: MarketModel, h: tuple[Num, ...], scope: str, labels) -> PriceReport:
@@ -193,7 +195,7 @@ def _price_venue(model: MarketModel, h: tuple[Num, ...], scope: str, labels) -> 
     joint = scope == GLOBAL
     basis = scope_basis(model, scope)
     budget = LE if joint else EQ
-    budgets = [([model.numeraire_ratio(lab)[a] for a in leaves], budget) for lab in labels]
+    budgets = [(atom_row(model, ("ratio_row", lab), model.numeraire_ratio(lab)), budget) for lab in labels]
     out = _cone_lp(model, h, scope, budgets, "max")
     if out.status != OPTIMAL:
         raise certificate_failure(model.exact, out.status, f"venue LP of {scope!r} is {out.status}")
@@ -297,7 +299,7 @@ def price_fractional(
 def _price_fractional(
     model: MarketModel, h: tuple[Num, ...], z: tuple[Num, ...], scope: str, sense: str
 ) -> Num:
-    out = _cone_lp(model, h, scope, [(z, EQ)], sense)
+    out = _cone_lp(model, h, scope, [(to_row(z, model.exact), EQ)], sense)
     if out.status == INFEASIBLE:
         raise DegenerateDenominator("denominator vanishes on the whole cone")
     if out.status != OPTIMAL:

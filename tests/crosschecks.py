@@ -2,20 +2,22 @@
 
 Each helper reaches a value the package also reaches by another path:
 terminal wealth by valuing the positions that enter each leaf, the
-self-financing identity node by node, span membership by its own LP, and a
-fractional price through the reciprocal infimum.
+self-financing identity node by node, span membership by its own LP, a
+fractional price through the reciprocal infimum, and membership of a measure
+in a weighted measure set by its implied deflator's Fraction sums.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from multimarket.arbitrage import GLOBAL
+from multimarket.arbitrage import GLOBAL, MeasureSelector, _require_positive, scope_basis
 from multimarket.errors import DimensionMismatch, NonPositiveWeight
 from multimarket.gains import SimpleStrategy, _positions
 from multimarket.lp import EQ, INFEASIBLE, lp, solve_lp
 from multimarket.market import MarketModel
-from multimarket.numbers import Num
+from multimarket.numbers import Num, tolerances
 from multimarket.pricing import price_fractional
 
 
@@ -84,3 +86,56 @@ def fractional_reciprocal(model: MarketModel, claim, weight: Mapping[str, Num], 
     h_map = dict(zip(model.tree.leaves, h))
     inf_value = price_fractional(model, dict(weight), h_map, scope=scope, sense="min")
     return 1 / inf_value
+
+
+def hat(model: MarketModel, label: str) -> MeasureSelector:
+    """The classical uni-market measure set of a submarket."""
+    model.submarket(label)
+    return MeasureSelector(scope=label, weight=model.numeraire_ratio(label))
+
+
+def global_ratio(model: MarketModel, label: str) -> MeasureSelector:
+    """Global cone weighted by one submarket's numeraire growth."""
+    return MeasureSelector(scope=GLOBAL, weight=model.numeraire_ratio(label))
+
+
+@dataclass(frozen=True)
+class MembershipReport:
+    member: bool
+    residuals: Mapping[str, Num]
+    equivalent: bool
+
+
+def check_measure_membership(
+    model: MarketModel, q: Mapping[str, Num], selector: MeasureSelector
+) -> MembershipReport:
+    """Does q lie in the closed weighted measure set of the selector?
+
+    Recovers the implied deflator X = (q/P)/Z and tests orthogonality
+    against the selector cone's gains.  Atoms with zero q-mass keep the
+    measure on the set's boundary: membership in the closure is reported
+    with ``equivalent=False``.
+    """
+    tree = model.tree
+    _require_positive(selector.weight)
+    tol = tolerances(model.exact).member
+    total = sum(q.get(a, 0) for a in tree.leaves)
+    if any(q.get(a, 0) < -tol for a in tree.leaves) or abs(total - 1) > tol:
+        return MembershipReport(member=False, residuals={}, equivalent=False)
+    implied_x = {
+        a: q.get(a, 0) / (tree.atom_probs[a] * selector.weight[a])
+        for a in tree.leaves
+    }
+    basis = scope_basis(model, selector.scope)
+    residuals = {}
+    member = True
+    for g in basis:
+        r = sum(
+            tree.atom_probs[a] * implied_x[a] * g.payoff[k]
+            for k, a in enumerate(tree.leaves)
+        )
+        residuals[f"{g.submarket}/{g.node}/{g.asset}"] = r
+        if abs(r) > tol:
+            member = False
+    equivalent = member and all(q.get(a, 0) > 0 for a in tree.leaves)
+    return MembershipReport(member=member, residuals=residuals, equivalent=equivalent)

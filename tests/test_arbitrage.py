@@ -7,13 +7,12 @@ import pytest
 import multimarket.arbitrage as arbitrage
 import multimarket.pricing as pricing
 
-from crosschecks import strategy_wealth
+from crosschecks import check_measure_membership, global_ratio, hat, strategy_wealth
 from multimarket.arbitrage import (
     DeflatorCertificate,
     MeasureSelector,
     arbitrage_lp,
     check_global_nfl,
-    check_measure_membership,
     check_submarket_nfl,
     extract_deflator,
     martingale_measure,
@@ -366,12 +365,12 @@ def test_measure_from_weight_examples(m2):
 def test_membership_by_construction_and_refutation(m2):
     cert = check_global_nfl(m2).certificate
     q2 = martingale_measure(m2, cert, "tau2")
-    report = check_measure_membership(m2, q2, MeasureSelector.global_ratio(m2, "tau2"))
+    report = check_measure_membership(m2, q2, global_ratio(m2, "tau2"))
     assert report.member and report.equivalent
     assert all(v == 0 for v in report.residuals.values())
 
     off = check_measure_membership(
-        m2, {"r.0": F(1, 2), "r.1": F(1, 2)}, MeasureSelector.hat(m2, "tau1")
+        m2, {"r.0": F(1, 2), "r.1": F(1, 2)}, hat(m2, "tau1")
     )
     assert not off.member
     assert list(off.residuals.values()) == [F(1, 2)]  # E_Q[S_1] - S_0 = 4.5 - 4
@@ -387,14 +386,14 @@ def test_membership_boundary_flagged():
         {n: F(1) for n in tree.nodes},
     )
     model = make_model(tree, [sub])
-    selector = MeasureSelector.hat(model, "s")
+    selector = hat(model, "s")
     boundary_q = {"r.0": F(1, 2), "r.1": F(0), "r.2": F(1, 2)}
     report = check_measure_membership(model, boundary_q, selector)
     assert report.member and not report.equivalent
 
 
 def test_measure_vertices_recover_cone_elements(m2):
-    selector = MeasureSelector.global_ratio(m2, "tau2")
+    selector = global_ratio(m2, "tau2")
     for q in enumerate_measure_vertices(m2, selector):
         report = check_measure_membership(m2, q, selector)
         assert report.member

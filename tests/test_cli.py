@@ -354,18 +354,22 @@ def _nested(tmp_path, m2_path, kind):
     if kind == "unclosed-lists":
         spec.write_text("[" * 100_000)
     else:
-        # m2 without "mode", so the mode is inferred, plus an unused section
-        # nested 960 lists deep
+        # m2 plus an unused section nested 960 lists deep: without "mode",
+        # so the mode is inferred, or naming either mode
         with open(m2_path) as handle:
             document = json.load(handle)
         del document["mode"]
+        if kind != "unused-deep-section":
+            document["mode"] = kind.rsplit("-", 1)[1]
         text = json.dumps(document)
         spec.write_text(text[:-1] + ', "zc_quotes": ' + "[" * 960 + '"1"' + "]" * 960 + "}")
     return str(spec)
 
 
 @pytest.mark.parametrize("command", ["validate", "arb", "verify"])
-@pytest.mark.parametrize("kind", ["unclosed-lists", "unused-deep-section"])
+@pytest.mark.parametrize(
+    "kind", ["unclosed-lists", "unused-deep-section", "unused-deep-section-rational", "unused-deep-section-float"]
+)
 def test_deeply_nested_document_exits_2(m2_path, tmp_path, command, kind):
     out = _run_cli(command, _nested(tmp_path, m2_path, kind))
     assert out.returncode == 2

@@ -13,7 +13,7 @@ from multimarket.gains import (
     terminal_value,
 )
 from multimarket.generate import random_model
-from multimarket.market import Submarket, make_model
+from multimarket.market import Submarket, load_market, make_model, serialize_market
 from multimarket.tree import build_tree
 from stopping import node_on_path, sample_stopping_time_pairs
 
@@ -153,3 +153,19 @@ def test_span_membership_lp(m2):
     total = [sum(col) for col in zip(*basis)]
     assert in_span(basis, total)
     assert not in_span(basis, [F(1), F(1)])
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_gains_are_the_terminal_values_of_unit_one_step_strategies(mode):
+    # the independent route: replay the strategy that holds one unit of the
+    # gain's asset over the step under its node, from zero wealth
+    dims_seen = set()
+    for seed in range(120):
+        model = load_market({**serialize_market(random_model(seed)), "mode": mode})
+        for sub in model.submarkets:
+            dims_seen.add(sub.dim)
+            for g in elementary_gains(model, sub.label):
+                unit = tuple(1 if i == g.asset else 0 for i in range(sub.dim))
+                value = terminal_value(model, {}, {sub.label: {g.node: unit}})
+                assert g.payoff == tuple(value[a] for a in model.tree.leaves), (seed, g)
+    assert dims_seen == {1, 2}

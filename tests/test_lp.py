@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -6,7 +7,7 @@ from math import gcd
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multimarket import arbitrage, pricing
+from multimarket import arbitrage, cli, pricing
 from multimarket import lp as lp_module
 from multimarket.errors import MarketError
 from multimarket.generate import random_claim, random_model
@@ -264,3 +265,83 @@ def test_random_program_digest():
             )
             digest.update(repr(solve_lp(prog, exact)).encode())
     assert digest.hexdigest() == PROGRAM_DIGEST
+
+
+# The deflator and cone LPs hand the simplex prepared rows; each must equal
+# the standard form `_Standardizer` builds from the same LinearProgram,
+# written out here from the gains, probabilities and budgets themselves.
+_STANDARD_FIELDS = (
+    "rows", "dens", "flip", "cost", "cost_den", "var_cols", "shift", "slack_col",
+    "ncols", "nrows", "sense_sign", "feas",
+)
+
+
+def _assert_same_standard_form(prepared, prog):
+    reference = lp_module._Standardizer(prog, prepared.exact)
+    for field in _STANDARD_FIELDS:
+        got, want = getattr(prepared, field), getattr(reference, field)
+        # repr as well: float rows keep the sign of each zero
+        assert (got, repr(got)) == (want, repr(want)), field
+
+
+def _recorded(monkeypatch, module):
+    received = []
+    solve = lp_module.solve_lp
+
+    def recorded(prog, exact):
+        received.append(prog)
+        return solve(prog, exact)
+
+    monkeypatch.setattr(module, "solve_lp", recorded)
+    return received
+
+
+def test_deflator_lps_hand_the_core_their_standard_form(monkeypatch):
+    received = _recorded(monkeypatch, arbitrage)
+    for seed in range(60):
+        document = serialize_market(random_model(seed))
+        for mode in ("rational", "float"):
+            model = load_market({**document, "mode": mode})
+            tree = model.tree
+            probs = [tree.atom_probs[a] for a in tree.leaves]
+            n = len(probs)
+            for scope in (arbitrage.GLOBAL, *model.labels):
+                received.clear()
+                try:
+                    arbitrage.extract_deflator(model, scope)
+                except MarketError:
+                    pass
+                gains = [[p * v for p, v in zip(probs, g.payoff)] for g in arbitrage.scope_basis(model, scope)]
+                rows = [(c + [sum(c)], "==", 0) for c in gains] + [(probs + [sum(probs)], "==", 1)]
+                prog = lp("max", [0] * n + [1], rows, [(0, None)] * n + [(None, None)])
+                assert len(received) == 1
+                _assert_same_standard_form(received[0], prog)
+                # the program a Farkas vector is checked against
+                assert received[0].prog == prog
+
+
+def test_cone_lps_of_verify_hand_the_core_their_standard_form(monkeypatch, m2_path, tmp_path):
+    received = _recorded(monkeypatch, pricing)
+    programs = []
+    cone_lp = pricing._cone_lp
+
+    def written_out(model, h, scope, budgets, sense):
+        rows = [(g.payoff, "==", 0) for g in arbitrage.scope_basis(model, scope)]
+        cast = F if model.exact else float
+        rows += [([cast(v) / wd for v in wn], rel, 1) for (wn, wd), rel in budgets]
+        programs.append(lp(sense, h, rows))
+        return cone_lp(model, h, scope, budgets, sense)
+
+    monkeypatch.setattr(pricing, "_cone_lp", written_out)
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    for mode in ("rational", "float"):
+        spec = tmp_path / f"m2-{mode}.json"
+        spec.write_text(json.dumps({**document, "mode": mode}))
+        received.clear()
+        programs.clear()
+        assert cli.main(["verify", str(spec)]) == 0
+        assert len(received) == len(programs) > 0
+        for prepared, prog in zip(received, programs):
+            _assert_same_standard_form(prepared, prog)
+            assert prepared.prog == prog

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from multimarket.arbitrage import MeasureSelector, check_global_nfl, martingale_measure
+from crosschecks import global_ratio, hat
+from multimarket.arbitrage import check_global_nfl, martingale_measure
 from multimarket.errors import TooLarge
 from multimarket.generate import random_claim, random_model
 from multimarket.market import Submarket, make_model
@@ -27,9 +28,9 @@ from multimarket.tree import build_tree
 
 
 def test_m2_vertex_singletons(m2):
-    hat1 = enumerate_measure_vertices(m2, MeasureSelector.hat(m2, "tau1"))
+    hat1 = enumerate_measure_vertices(m2, hat(m2, "tau1"))
     assert hat1 == [{"r.0": F(1, 3), "r.1": F(2, 3)}]
-    global2 = enumerate_measure_vertices(m2, MeasureSelector.global_ratio(m2, "tau2"))
+    global2 = enumerate_measure_vertices(m2, global_ratio(m2, "tau2"))
     assert global2 == [{"r.0": F(3, 8), "r.1": F(5, 8)}]
 
 
@@ -37,7 +38,7 @@ def test_unconstrained_selector_gives_the_simplex():
     tree = build_tree([2], ["1/2", "1/2"])
     flat = Submarket("flat", 1, {n: (F(1),) for n in tree.nodes}, {n: F(1) for n in tree.nodes})
     model = make_model(tree, [flat])
-    vertices = enumerate_measure_vertices(model, MeasureSelector.hat(model, "flat"))
+    vertices = enumerate_measure_vertices(model, hat(model, "flat"))
     as_sets = {tuple(sorted(v.items())) for v in vertices}
     assert as_sets == {
         (("r.0", F(1)), ("r.1", F(0))),
@@ -51,7 +52,7 @@ def test_vertex_sup_matches_fractional_program():
         rng = random.Random(seed)
         h = random_claim(rng, model)
         for label in model.labels:
-            selector = MeasureSelector.global_ratio(model, label)
+            selector = global_ratio(model, label)
             weight = selector.weight
             functional = {a: h[a] / weight[a] for a in model.tree.leaves}
             by_vertices = oracle_sup_measure(model, selector, functional)
@@ -74,7 +75,7 @@ def test_deflator_measures_lie_inside_the_oracle_polytope():
         for label in model.labels:
             q = martingale_measure(model, certificate, label)
             assert all(q[a] > 0 for a in model.tree.leaves)
-            selector = MeasureSelector.global_ratio(model, label)
+            selector = global_ratio(model, label)
             for f in functionals:
                 value = sum(q[a] * f[a] for a in model.tree.leaves)
                 neg = {a: -v for a, v in f.items()}

@@ -435,7 +435,7 @@ def test_every_pricing_lp_of_verify_is_a_cone_lp(monkeypatch, capsys, tmp_path, 
             received.clear()
             assert cli.main(["verify", str(spec)]) == 0
             assert received, (k, mode)
-            faults = [_cone_lp_shape(model, prog) for prog in received]
+            faults = [_cone_lp_shape(model, std.prog) for std in received]
             assert faults == [None] * len(received), (k, mode)
     capsys.readouterr()
 
