@@ -14,11 +14,11 @@ are derived from that one common deflator.  So is each submarket's
 certificate once the global check has passed: the global gains contain the
 submarket's, so the common deflator is checked against them and no
 submarket LP is solved.  The deflator and every price witness pass one
-orthogonality check, `check_orthogonal`, against gain rows kept per scope
-in the row format of `numbers.to_row`: integer numerators over one
-denominator in rational mode, so the checks multiply integers only, and the
-floats themselves over 1.0 in float mode.  The deflator LP is built from
-the same rows and hands them to the simplex as they are (`lp.prepared_lp`).
+orthogonality check, `check_orthogonal`, against the row each gain carries
+in the format of `numbers.to_row`: integer numerators over one denominator
+in rational mode, so the checks multiply integers only, and the floats
+themselves over 1.0 in float mode.  The deflator LP is built from the same
+rows and hands them to the simplex as they are (`lp.prepared_lp`).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class DeflatorCertificate:
         if abs(total - den) > tolerances(exact).feas:
             mean = from_row(total, den, exact)
             raise certificate_failure(exact, mean, f"deflator mean {mean} != 1")
-        check_orthogonal(model, self.scope, self.basis_checked, w, den, "deflator")
+        check_orthogonal(model, self.basis_checked, w, den, "deflator")
 
 
 @dataclass(frozen=True)
@@ -149,38 +149,20 @@ def scope_basis(model: MarketModel, scope: str) -> tuple[GainAtom, ...]:
     return elementary_gains(model, scope)
 
 
-def gain_rows(model: MarketModel, scope: str) -> tuple[tuple[Sequence[Num], Num], ...]:
-    """Each gain of `scope_basis(model, scope)`, in order, as a row of
-    `to_row`: integer numerators over one denominator in rational mode, the
-    payoff itself over 1.0 in float mode.  Computed once per model and
-    scope."""
-
-    def compute():
-        if scope == GLOBAL:
-            return tuple(r for label in model.labels for r in gain_rows(model, label))
-        return tuple(to_row(g.payoff, model.exact) for g in elementary_gains(model, scope))
-
-    return model._memoized(("gain_rows", scope), compute)
-
-
 def atom_row(model: MarketModel, key: tuple, values: Mapping[str, Num]):
     """`values` over the atoms as a row of `to_row`, computed once per model
     and kept in the memo under `key`."""
     return model._memoized(key, lambda: to_row([values[a] for a in model.tree.leaves], model.exact))
 
 
-def check_orthogonal(model: MarketModel, scope: str, basis, qn, qd, what: str) -> None:
+def check_orthogonal(model: MarketModel, basis, qn, qd, what: str) -> None:
     """Raise a certificate failure unless the row (qn, qd) is orthogonal to
-    every gain of `basis`, within the mode's ``member`` tolerance.  The
-    scope's own basis takes its rows from the memo; `what` names q in the
-    message."""
+    every gain of `basis`, within the mode's ``member`` tolerance; `what`
+    names q in the message."""
     exact = model.exact
     tol = tolerances(exact).member
-    if basis is scope_basis(model, scope):
-        rows = gain_rows(model, scope)
-    else:
-        rows = [to_row(g.payoff, exact) for g in basis]
-    for g, (gn, gd) in zip(basis, rows):
+    for g in basis:
+        gn, gd = g.row
         r = dot(gn, qn)
         if abs(r) > tol:
             r = from_row(r, gd * qd, exact)
@@ -218,9 +200,10 @@ def arbitrage_lp(model: MarketModel, scope: str = GLOBAL):
     nb = len(basis)
     na = len(atoms)
     # variables: basis coefficients (free), then payoff values W (>= 0)
+    payoffs = [g.payoff for g in basis]
     rows = []
     for k, atom in enumerate(atoms):
-        coeffs = [g.payoff[k] for g in basis] + [0] * na
+        coeffs = [p[k] for p in payoffs] + [0] * na
         coeffs[nb + k] = -1
         rows.append((coeffs, EQ, 0))
     objective = [0] * nb + [tree.atom_probs[a] for a in atoms]
@@ -253,10 +236,11 @@ def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertifi
     basis = scope_basis(model, scope)
     # variables: s per atom (>= 0), then the floor t (free); x = t + s, so
     # t's coefficient in each row is that row's sum.  Rows E[x g] = 0 and
-    # E[x] = 1 from the memo's rows: P∘g is their entrywise product
+    # E[x] = 1 from the gains' rows and the memo's: P∘g is their product
     pn, pd = atom_row(model, ("prob_row",), tree.atom_probs)
     rows = []
-    for gn, gd in gain_rows(model, scope):
+    for g in basis:
+        gn, gd = g.row
         coeffs = [p * g for p, g in zip(pn, gn)]
         rows.append((coeffs + [sum(coeffs)], pd * gd, EQ, 0))
     rows.append((pn + [sum(pn)], pd, EQ, 1))

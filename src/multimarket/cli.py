@@ -56,9 +56,7 @@ EXIT_NUMERIC = 4
 
 
 def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return scalar_to_json(obj)
-    if isinstance(obj, float):
+    if isinstance(obj, (Fraction, float)):
         return scalar_to_json(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}

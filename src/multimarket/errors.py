@@ -117,9 +117,3 @@ class NonPositiveAccumulation(MarketError):
 
 class QuotesEqual(MarketError):
     pass
-
-
-# --- oracle --------------------------------------------------------------
-
-class TooLarge(MarketError):
-    pass

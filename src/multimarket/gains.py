@@ -5,10 +5,10 @@ claims as one-step node-indexed predictable positions, so the attainable
 zero-cost cone of a submarket is spanned by the elementary gains: hold one
 unit of one asset over one step under one node, financed by the numeraire.
 The spanning reduction is a tested property, not an assumption (see the
-arbitrage test suite).  A gain is built per child of its node, over the
-atoms under that child; its other entries are exact zeros.  The deflator
-and cone LPs take these gains as the memo's integer rows of them
-(`arbitrage.gain_rows`), the rows a LinearProgram of them would give.
+arbitrage test suite).  A gain is stored once, as a row of `numbers.to_row`
+that every LP and check reads: under each child of its node, the numeraire
+row times the discounted price move to that child (integers in rational
+mode), exact zeros elsewhere.  Its payoff is derived on read.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
 from .market import MarketModel, discounted_prices
-from .numbers import Num
+from .numbers import Num, lowest, to_row
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,15 @@ class GainAtom:
     submarket: str
     node: str
     asset: int
-    payoff: tuple[Num, ...]  # by tree.leaves order
+    row: tuple[Sequence[Num], Num]  # to_row of the payoff, by tree.leaves order
+
+    @property
+    def payoff(self) -> tuple[Num, ...]:
+        """The row's values: Fractions in rational mode, floats in float mode."""
+        nums, den = self.row
+        if isinstance(den, float):
+            return tuple(nums)
+        return tuple(Fraction(n, den) for n in nums)
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,7 @@ class SimpleStrategy:
 
 
 def elementary_gains(model: MarketModel, label: str) -> tuple[GainAtom, ...]:
-    """One payoff vector per (non-terminal node, asset index), deterministic
+    """One gain per (non-terminal node, asset index), deterministic
     order: nodes as indexed by the tree, then asset index."""
     return model._memoized(("elementary_gains", label), lambda: _elementary_gains(model, label))
 
@@ -55,20 +63,26 @@ def elementary_gains(model: MarketModel, label: str) -> tuple[GainAtom, ...]:
 def _elementary_gains(model: MarketModel, label: str) -> tuple[GainAtom, ...]:
     sub = model.submarket(label)
     tree = model.tree
+    exact = model.exact
     tilde = discounted_prices(model, label)
     index = {a: k for k, a in enumerate(tree.leaves)}
-    zero = Fraction(0) if model.exact else 0.0
+    num, num_den = to_row([sub.numeraire[a] for a in tree.leaves], exact)
+    zero = 0 if exact else 0.0
     out = []
     for node_id in tree.nonterminal():
-        payoffs = [[zero] * len(index) for _ in range(sub.dim)]
-        start = tilde[node_id]
-        for child in tree.children(node_id):
-            moves = [v - s for v, s in zip(tilde[child], start)]
-            for a in tree.atoms_under(child):
-                k, num = index[a], sub.numeraire[a]
-                for payoff, move in zip(payoffs, moves):
-                    payoff[k] = num * move
-        out += [GainAtom(label, node_id, i, tuple(p)) for i, p in enumerate(payoffs)]
+        children = tree.children(node_id)
+        for i, start in enumerate(tilde[node_id]):
+            moves, den = to_row([tilde[c][i] - start for c in children], exact)
+            row = [zero] * len(index)
+            for child, move in zip(children, moves):
+                for a in tree.atoms_under(child):
+                    k = index[a]
+                    row[k] = num[k] * move
+            if exact:
+                den = lowest(row, den * num_den)
+            else:
+                row = tuple(row)
+            out.append(GainAtom(label, node_id, i, (row, den)))
     return tuple(out)
 
 

@@ -9,9 +9,10 @@ Pivots update only the nonzero columns of the pivot row.  Bland's rule sees
 the same exact values as over Fractions, so the pivot path is the same.
 Rows reach the tableau in the row format of `numbers.to_row`: a
 LinearProgram's are cast there, while `prepared_lp` takes rows a caller
-holds in it (the deflator and cone LPs take theirs from the per-model memo)
-and gives the same standard form, entry for entry.  Every outcome carries a
-certificate that is checked before returning:
+holds in it (the deflator and cone LPs take the rows each gain carries and
+the memo's probability and growth rows) and gives the same standard form,
+entry for entry.  Every outcome carries a certificate that is checked
+before returning:
 
 * optimal: primal and dual solutions with complementary slackness and a
   duality gap within the mode's feasibility tolerance (zero when exact),
@@ -29,7 +30,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import NumericBreakdown
-from .numbers import Num, dot, from_row, to_row, tolerances
+from .numbers import Num, dot, from_row, lowest, to_row, tolerances
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -193,7 +194,7 @@ class _Standardizer:
             if slack is not None:
                 row[slack] = den if rel == LE else -den
             if exact:
-                den = _lowest(row, den)
+                den = lowest(row, den)
             self.flip.append(-1 if row[-1] < 0 else 1)
             self.rows.append([-v for v in row] if row[-1] < 0 else row)
             self.dens.append(den)
@@ -222,23 +223,13 @@ def prepared_lp(sense, objective, bounds, rows, exact: bool) -> _Standardizer:
     return std
 
 
-def _lowest(row: list[int], den: int) -> int:
-    """Divide ``row`` in place and ``den`` by their common factor; returns
-    the reduced denominator."""
-    g = gcd(den, *row)
-    if g > 1:
-        row[:] = [v // g for v in row]
-        den //= g
-    return den
-
-
 def _unit_row(row: list, pc: int, exact: bool) -> tuple[list, Num]:
     """``row`` scaled to 1 at column pc, with its denominator.  The old
     denominator cancels, so exact mode only fixes the sign and reduces."""
     if exact:
         if row[pc] < 0:
             row = [-v for v in row]
-        return row, _lowest(row, row[pc])
+        return row, lowest(row, row[pc])
     inv = 1 / row[pc]
     return [v * inv for v in row], 1.0
 
@@ -261,7 +252,7 @@ def _eliminate(row: list, den, nz, pc: int, pden, exact: bool):
     f //= g
     for j, p in nz:
         row[j] -= f * p
-    return _lowest(row, den)
+    return lowest(row, den)
 
 
 class _Tableau:
@@ -372,7 +363,7 @@ class _Tableau:
             for i in need_art:
                 scale = den // self.dens[i]
                 cost = [c - scale * v for c, v in zip(cost, self.rows[i])]
-            cost_den = [_lowest(cost, den)]
+            cost_den = [lowest(cost, den)]
         else:
             cost = [0.0] * (self.n_real + 1)
             for i in need_art:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 from typing import Sequence, Union
 
 from .errors import SchemaError
@@ -93,6 +93,16 @@ def to_row(values: Sequence[Num], exact: bool) -> tuple[Sequence[Num], Num]:
         return values, 1.0
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def lowest(row: list[int], den: int) -> int:
+    """Divide ``row`` in place and ``den`` by their common factor, as in
+    `to_row`'s lowest terms; returns the reduced denominator."""
+    g = gcd(den, *row)
+    if g > 1:
+        row[:] = [v // g for v in row]
+        den //= g
+    return den
 
 
 def from_row(num, den, exact: bool) -> Num:

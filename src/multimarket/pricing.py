@@ -9,17 +9,18 @@ scope's gains and meet some budget rows.  A venue price has one budget row
 per funded submarket and reads the hedge from its row duals; one check
 that uses no LP code then proves both sides: the hedge dominates the
 claim, the witness lies in the cone within its budget rows, and the gap is
-zero (exactly in rational mode).  The witness passes the orthogonality
-check of the deflator certificate, `arbitrage.check_orthogonal`, one body
-for both numeric modes.  The weighted measure-set extreme E[X H]/E[X Z] is
-the same LP over the slice E[X Z] = 1.  Closed-form
-identities for one-dimensional submarkets, constant growth ratios, and the
-two-submarket case are evaluated against the LPs rather than assumed.
+zero (exactly in rational mode).  The cone LP's gain rows and the
+witness's orthogonality check (`arbitrage.check_orthogonal`, the one the
+deflator certificate passes) read the row each gain carries,
+`GainAtom.row`.  The weighted measure-set extreme E[X H]/E[X Z] is the
+same LP over the slice E[X Z] = 1.  Closed-form identities for
+one-dimensional submarkets, constant growth ratios, and the two-submarket
+case are evaluated against the LPs rather than assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .arbitrage import (
@@ -29,7 +30,6 @@ from .arbitrage import (
     check_global_nfl,
     check_orthogonal,
     check_submarket_nfl,
-    gain_rows,
     scope_basis,
 )
 from .errors import (
@@ -132,7 +132,7 @@ def _certify(model, h, scope, allocation, hedge, q) -> tuple[Num, Num]:
     if any(v < -tol.member for v in q):
         raise certificate_failure(exact, min(q), f"cone witness {min(q)} is negative")
     qn, qd = to_row(q, exact)
-    check_orthogonal(model, scope, scope_basis(model, scope), qn, qd, "cone witness")
+    check_orthogonal(model, scope_basis(model, scope), qn, qd, "cone witness")
     for lab in allocation:
         rn, rd = atom_row(model, ("ratio_row", lab), model.numeraire_ratio(lab))
         mass, unit = dot(rn, qn), rd * qd
@@ -177,8 +177,8 @@ def _cone_lp(model: MarketModel, h, scope: str, budgets, sense: str):
     """The one LP behind every price: optimize E[X H] = h.q over deflator-cone
     directions q = P X >= 0 on the atoms, with one row q.g == 0 per gain g of
     `scope` and, after them, one row (w, rel, 1) per budget (w, rel), w a
-    row of `to_row`.  The gain rows are the memo's."""
-    rows = [(gn, gd, EQ, 0) for gn, gd in gain_rows(model, scope)]
+    row of `to_row`.  The gain rows are the ones the gains carry."""
+    rows = [(*g.row, EQ, 0) for g in scope_basis(model, scope)]
     rows += [(wn, wd, rel, 1) for (wn, wd), rel in budgets]
     return solve_lp(prepared_lp(sense, h, [(0, None)] * len(h), rows, model.exact), model.exact)
 
@@ -230,16 +230,9 @@ def _extreme_submarket(model, claim, pick) -> PriceReport:
     reports = [price_submarket(model, claim, s.label) for s in model.submarkets]
     prices = [r.price for r in reports]
     best = prices.index(pick(prices))  # first hit wins: declared order
-    chosen = reports[best]
-    return PriceReport(
+    return replace(
+        reports[best],
         venue=VENUE_LOWER if pick is min else VENUE_UPPER,
-        status=chosen.status,
-        price=chosen.price,
-        allocation=chosen.allocation,
-        hedge=chosen.hedge,
-        dual_value=chosen.dual_value,
-        dual_witness=chosen.dual_witness,
-        duality_gap=chosen.duality_gap,
         selected_submarket=model.submarkets[best].label,
     )
 

@@ -13,15 +13,19 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .arbitrage import GLOBAL, MeasureSelector, scope_basis
-from .errors import TooLarge
-from .market import Claim, MarketModel
-from .numbers import Num
+from multimarket.arbitrage import GLOBAL, MeasureSelector, scope_basis
+from multimarket.errors import MarketError
+from multimarket.market import Claim, MarketModel
+from multimarket.numbers import Num
 
 MAX_ATOMS = 12
 MAX_GAINS = 10
 GOLDEN_STEPS = 90
 INV_PHI = (5**0.5 - 1) / 2  # golden-section ratio
+
+
+class TooLarge(MarketError):
+    """The instance exceeds the oracle's size caps."""
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from multimarket.multicurve import (
     cotrade_arbitrage_demo,
     fra_rate,
 )
-from multimarket.oracle import brute_superreplication, grid_superreplication
 from multimarket.pricing import (
     basis_swap_price,
     dual_bounds_global,
@@ -49,6 +48,7 @@ from multimarket.pricing import (
     two_market_report,
 )
 from multimarket.tree import build_tree
+from oracle import brute_superreplication, grid_superreplication
 
 from conftest import desk_market_m1, desk_market_m2
 
@@ -262,7 +262,7 @@ def test_criterion_10_oracle_equivalence():
         if grid_checked < 50 and len(model.labels) <= 2 and all(
             s.dim == 1 for s in model.submarkets
         ):
-            from multimarket.errors import TooLarge
+            from oracle import TooLarge
             from test_oracle import _float_twin
 
             twin = _float_twin(model)

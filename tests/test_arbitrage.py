@@ -30,9 +30,9 @@ from multimarket.gains import strategy_cost, terminal_value
 from multimarket.generate import random_model
 from multimarket.market import Submarket, load_market, make_model, serialize_market
 from multimarket.numbers import FEAS_TOL, MEMBER_TOL
-from multimarket.oracle import enumerate_measure_vertices
 from multimarket.pricing import price_global, terminal_asset_claim
 from multimarket.tree import build_tree
+from oracle import enumerate_measure_vertices
 from stopping import node_on_path, sample_stopping_time_pairs
 
 

@@ -14,6 +14,7 @@ from multimarket.gains import (
 )
 from multimarket.generate import random_model
 from multimarket.market import Submarket, load_market, make_model, serialize_market
+from multimarket.numbers import to_row
 from multimarket.tree import build_tree
 from stopping import node_on_path, sample_stopping_time_pairs
 
@@ -158,14 +159,19 @@ def test_span_membership_lp(m2):
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_gains_are_the_terminal_values_of_unit_one_step_strategies(mode):
     # the independent route: replay the strategy that holds one unit of the
-    # gain's asset over the step under its node, from zero wealth
+    # gain's asset over the step under its node, from zero wealth; the row
+    # the gain stores is that value's row, in lowest terms with exact zeros
     dims_seen = set()
-    for seed in range(120):
-        model = load_market({**serialize_market(random_model(seed)), "mode": mode})
+    cases = [(seed, {}) for seed in range(120)]
+    cases += [(seed, dict(atoms=a, periods=2, submarkets=3)) for a in (9, 16) for seed in range(10)]
+    for seed, size in cases:
+        model = load_market({**serialize_market(random_model(seed, **size)), "mode": mode})
         for sub in model.submarkets:
             dims_seen.add(sub.dim)
             for g in elementary_gains(model, sub.label):
                 unit = tuple(1 if i == g.asset else 0 for i in range(sub.dim))
                 value = terminal_value(model, {}, {sub.label: {g.node: unit}})
-                assert g.payoff == tuple(value[a] for a in model.tree.leaves), (seed, g)
+                values = tuple(value[a] for a in model.tree.leaves)
+                assert g.payoff == values, (seed, g)
+                assert g.row == to_row(values, model.exact), (seed, g)
     assert dims_seen == {1, 2}

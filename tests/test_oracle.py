@@ -5,17 +5,8 @@ import pytest
 
 from crosschecks import global_ratio, hat
 from multimarket.arbitrage import check_global_nfl, martingale_measure
-from multimarket.errors import TooLarge
 from multimarket.generate import random_claim, random_model
 from multimarket.market import Submarket, make_model
-from multimarket.oracle import (
-    _convex_min,
-    _partial_min,
-    brute_superreplication,
-    enumerate_measure_vertices,
-    grid_superreplication,
-    oracle_sup_measure,
-)
 from multimarket.pricing import (
     price_fractional,
     price_global,
@@ -25,6 +16,15 @@ from multimarket.pricing import (
     terminal_asset_claim,
 )
 from multimarket.tree import build_tree
+from oracle import (
+    TooLarge,
+    _convex_min,
+    _partial_min,
+    brute_superreplication,
+    enumerate_measure_vertices,
+    grid_superreplication,
+    oracle_sup_measure,
+)
 
 
 def test_m2_vertex_singletons(m2):

@@ -8,9 +8,8 @@ import tokenize
 from multimarket import numbers
 
 PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "multimarket")
-# numbers.py holds the tolerance table; oracle.py keeps its own literals
-# because it is the independent reference
-OWNERS = {"numbers.py", "oracle.py"}
+# numbers.py holds the tolerance table
+OWNERS = {"numbers.py"}
 TOLERANCE_NAMES = {"FEAS_TOL", "MEMBER_TOL", "GAP_TOL", "ZERO_TOL"}
 
 
