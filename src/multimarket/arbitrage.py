@@ -17,8 +17,9 @@ submarket LP is solved.  The deflator and every price witness pass one
 orthogonality check, `check_orthogonal`, against the row each gain carries
 in the format of `numbers.to_row`: integer numerators over one denominator
 in rational mode, so the checks multiply integers only, and the floats
-themselves over 1.0 in float mode.  The deflator LP is built from the same
-rows and hands them to the simplex as they are (`lp.prepared_lp`).
+themselves over 1.0 in float mode.  The deflator LP is a `LinearProgram`
+of the same rows in the model's mode: the simplex and its Farkas check read
+them as they are.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .gains import (
     strategy_from_coefficients,
     terminal_value,
 )
-from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, lp, prepared_lp, solve_lp
+from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp, solve_lp
 from .market import MarketModel
 from .numbers import Num, dot, from_row, to_row, tolerances
 
@@ -208,7 +209,7 @@ def arbitrage_lp(model: MarketModel, scope: str = GLOBAL):
         rows.append((coeffs, EQ, 0))
     objective = [0] * nb + [tree.atom_probs[a] for a in atoms]
     bounds = [(None, None)] * nb + [(0, None)] * na
-    out = solve_lp(lp("max", objective, rows, bounds), model.exact)
+    out = solve_lp(lp("max", objective, rows, bounds, model.exact))
     if out.status == OPTIMAL:
         return out.value, None
     if out.status == UNBOUNDED:
@@ -244,9 +245,9 @@ def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertifi
         coeffs = [p * g for p, g in zip(pn, gn)]
         rows.append((coeffs + [sum(coeffs)], pd * gd, EQ, 0))
     rows.append((pn + [sum(pn)], pd, EQ, 1))
-    objective = [0] * len(atoms) + [1]
-    bounds = [(0, None)] * len(atoms) + [(None, None)]
-    out = solve_lp(prepared_lp("max", objective, bounds, rows, model.exact), model.exact)
+    objective = (0,) * len(atoms) + (1,)
+    bounds = ((0, None),) * len(atoms) + ((None, None),)
+    out = solve_lp(LinearProgram("max", objective, tuple(rows), bounds, model.exact))
     if out.status == INFEASIBLE:
         coeffs = [-y for y in out.farkas[: len(basis)]]
     elif out.status != OPTIMAL:

@@ -89,12 +89,6 @@ def _load(path: str) -> MarketModel:
     return _market(_read_document(path))
 
 
-def _with_mode(model: MarketModel, mode: str | None) -> MarketModel:
-    if mode is None or (mode == "rational") == model.exact:
-        return model
-    return load_market({**serialize_market(model), "mode": mode})
-
-
 def _strategy_payload(strategy):
     payload = {
         "risky": {
@@ -225,7 +219,10 @@ def cmd_deflator(args) -> int:
 
 
 def cmd_price(args) -> int:
-    model = _with_mode(_load(args.spec), args.mode)
+    document = _read_document(args.spec)
+    if args.mode and isinstance(document, dict):
+        document = {**document, "mode": args.mode}
+    model = _market(document)
     claim = model.claim(args.claim).payoff
     venue = args.venue
     if venue == "global":
@@ -390,7 +387,7 @@ def cmd_gen(args) -> int:
         args.seed,
         atoms=args.atoms,
         submarkets=args.submarkets,
-        arbitrage_free=True if args.arbitrage_free else None,
+        arbitrage_free=args.arbitrage_free,
     )
     _emit(serialize_market(model))
     return EXIT_OK

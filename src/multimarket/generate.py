@@ -27,16 +27,18 @@ def _random_probs(rng: random.Random, count: int) -> list[str]:
 
 
 def random_tree(rng: random.Random, atoms: int, periods: int) -> ScenarioTree:
-    """Branching profile whose leaf count hits `atoms` exactly."""
-    if periods == 1:
-        branching = [atoms]
-    else:
-        split = [d for d in range(2, atoms + 1) if atoms % d == 0]
-        if not split:
-            branching = [atoms, 1]
-        else:
-            first = rng.choice(split)
-            branching = [first, atoms // first]
+    """Branching profile of `periods` levels whose leaf count hits `atoms`
+    exactly: each level but the last branches by a random divisor (at least
+    2) of the atoms still to split, or by 1 once none is left, and the last
+    level takes the rest."""
+    branching = []
+    rest = atoms
+    for _ in range(periods - 1):
+        split = [d for d in range(2, rest + 1) if rest % d == 0]
+        first = rng.choice(split) if split else 1
+        branching.append(first)
+        rest //= first
+    branching.append(rest)
     return build_tree(branching, [Fraction(p) for p in _random_probs(rng, atoms)])
 
 
@@ -102,12 +104,12 @@ def random_model(
     periods: int | None = None,
     submarkets: int | None = None,
     dims: Sequence[int] | None = None,
-    arbitrage_free: bool | None = None,
+    arbitrage_free: bool = False,
     deterministic_numeraires: bool = False,
 ) -> MarketModel:
-    """Deterministic-by-seed model.  With ``arbitrage_free=None`` the style
-    alternates by seed parity (planted deflator vs. fully random); with
-    ``True`` candidates are rejection-filtered through the global check."""
+    """Deterministic-by-seed model.  The style alternates by seed parity
+    (planted deflator vs. fully random); with ``arbitrage_free`` candidates
+    are rejection-filtered through the global check."""
     rng = random.Random(seed)
     atoms = atoms or rng.randint(2, 4)
     periods = periods or rng.randint(1, 2)

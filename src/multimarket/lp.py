@@ -7,12 +7,11 @@ one positive denominator, in lowest terms, and pivots fraction-free
 (Edmonds; Bareiss): Fractions are built only for the values a solve returns.
 Pivots update only the nonzero columns of the pivot row.  Bland's rule sees
 the same exact values as over Fractions, so the pivot path is the same.
-Rows reach the tableau in the row format of `numbers.to_row`: a
-LinearProgram's are cast there, while `prepared_lp` takes rows a caller
-holds in it (the deflator and cone LPs take the rows each gain carries and
-the memo's probability and growth rows) and gives the same standard form,
-entry for entry.  Every outcome carries a certificate that is checked
-before returning:
+A LinearProgram carries its own numeric mode and holds its rows in the row
+format of `numbers.to_row`: `lp` casts plain values into it, while the
+deflator and cone LPs build theirs from the rows each gain carries and the
+memo's probability and growth rows.  Every outcome carries a certificate
+that is checked, against the program's own rows, before returning:
 
 * optimal: primal and dual solutions with complementary slackness and a
   duality gap within the mode's feasibility tolerance (zero when exact),
@@ -24,7 +23,6 @@ before returning:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -41,23 +39,28 @@ _MAX_PIVOTS = 20000
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max objective.x subject to rows and per-variable bounds.
+    """min/max objective.x subject to rows and per-variable bounds, solved
+    exactly (``exact``) or over floats.
 
-    Bounds are (lower, upper) with None for unbounded; two-sided finite
-    bounds are not supported (state the second side as a row instead).
+    Each row is (numerators, denominator, rel, rhs): its coefficients in the
+    row format of `numbers.to_row` for the program's mode, its right-hand
+    side a number.  Bounds are (lower, upper) with None for unbounded;
+    two-sided finite bounds are not supported (state the second side as a
+    row instead).
     """
 
     sense: str
     objective: tuple[Num, ...]
-    rows: tuple[tuple[tuple[Num, ...], str, Num], ...]
+    rows: tuple[tuple[Sequence, Num, str, Num], ...]
     bounds: tuple[tuple[Num | None, Num | None], ...]
+    exact: bool
 
     def __post_init__(self):
         n = len(self.objective)
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be min or max, got {self.sense!r}")
-        for coeffs, rel, _ in self.rows:
-            if len(coeffs) != n:
+        for nums, _, rel, _ in self.rows:
+            if len(nums) != n:
                 raise ValueError("row dimension mismatch")
             if rel not in (LE, EQ, GE):
                 raise ValueError(f"unknown relation {rel!r}")
@@ -68,15 +71,20 @@ class LinearProgram:
                 raise ValueError("two-sided bounds unsupported; add a row")
 
 
-def lp(sense, objective, rows, bounds=None) -> LinearProgram:
+def lp(sense, objective, rows, bounds=None, exact: bool = True) -> LinearProgram:
+    """The program of rows given as (coefficients, rel, rhs) in plain
+    values, each cast to the mode's numbers and put in the row format of
+    `to_row`."""
+    cast = Fraction if exact else float
     objective = tuple(objective)
     if bounds is None:
         bounds = tuple((0, None) for _ in objective)
     return LinearProgram(
         sense=sense,
         objective=objective,
-        rows=tuple((tuple(c), rel, rhs) for c, rel, rhs in rows),
+        rows=tuple((*to_row([cast(a) for a in c], exact), rel, cast(rhs)) for c, rel, rhs in rows),
         bounds=tuple(bounds),
+        exact=exact,
     )
 
 
@@ -98,45 +106,23 @@ class _Standardizer:
     positive denominators ``dens[i]`` and ``cost_den``, in lowest terms; in
     float mode the values themselves, over 1.0.  ``feas`` scales the
     mode's feasibility tolerance by the largest right-hand side.
-    `prepared_lp` builds the same rows from rows already in `to_row`
-    format.
     """
 
-    def __init__(self, prog: LinearProgram, exact: bool):
-        cast = Fraction if exact else float
-        rows = [(*to_row([cast(a) for a in coeffs], exact), rel, cast(b)) for coeffs, rel, b in prog.rows]
-        self._build(prog.sense, prog.objective, prog.bounds, rows, exact)
-        self.prog = prog
-
-    @cached_property
-    def prog(self) -> LinearProgram:
-        """The user-form program of prepared rows, rebuilt from the stored
-        rows: a Farkas vector and a ray are checked against it."""
-        exact = self.exact
-        rows = []
-        for row, den, f, slack in zip(self.rows, self.dens, self.flip, self.slack_col):
-            coeffs = tuple(from_row(f * s * row[col], den, exact) for (col, s), *_ in self.var_cols)
-            rel = EQ if slack is None else LE if f * row[slack] > 0 else GE
-            rows.append((coeffs, rel, from_row(f * row[-1], den, exact) + dot(coeffs, self.shift)))
-        return LinearProgram(self.sense, self.objective, tuple(rows), self.bounds)
-
-    def _build(self, sense, objective, bounds, rows, exact: bool) -> None:
-        """Lay out the columns, the cost row and the stored rows of a
-        program whose rows are (numerators, denominator, rel, rhs) with the
-        coefficients in the row format of `to_row`."""
-        self.exact = exact
+    def __init__(self, prog: LinearProgram):
+        self.exact = exact = prog.exact
         self.tol = tolerances(exact)
         zero = Fraction(0) if exact else 0.0
         self.zero, self.one = zero, zero + 1
+        # the zero of a stored entry: an int numerator or a float
+        entry_zero = 0 if exact else 0.0
         cast = Fraction if exact else float
-        self.sense, self.objective, self.bounds = sense, objective, bounds
 
         # user var j -> [(std col, sign)] plus a constant shift:
         #   x_j = shift_j + sum(sign * u_col)
         self.var_cols: list[list[tuple[int, int]]] = []
         self.shift: list[Num] = []
         ncols = 0
-        for lo, hi in bounds:
+        for lo, hi in prog.bounds:
             if lo is not None:
                 self.var_cols.append([(ncols, 1)])
                 self.shift.append(cast(lo))
@@ -151,18 +137,18 @@ class _Standardizer:
                 ncols += 2
         # slack columns follow, one per inequality row
         self.slack_col: list[int | None] = []
-        for *_, rel, _ in rows:
+        for *_, rel, _ in prog.rows:
             if rel == EQ:
                 self.slack_col.append(None)
             else:
                 self.slack_col.append(ncols)
                 ncols += 1
         self.ncols = ncols
-        self.nrows = len(rows)
-        self.sense_sign = sign = -1 if sense == "max" else 1
+        self.nrows = len(prog.rows)
+        self.sense_sign = sign = -1 if prog.sense == "max" else 1
 
-        cost = [0 if exact else 0.0] * ncols + [zero]
-        for j, o in enumerate(objective):
+        cost = [entry_zero] * ncols + [zero]
+        for j, o in enumerate(prog.objective):
             if o:
                 cj = cast(o) * sign
                 for col, s in self.var_cols[j]:
@@ -172,15 +158,13 @@ class _Standardizer:
         # stored column -> (user column, sign); rows sign-normalized to
         # b >= 0, flip records the sign applied
         src = [(j, s) for j, cols in enumerate(self.var_cols) for _, s in cols]
-        pad = [0 if exact else 0.0] * (ncols - len(src))
+        pad = [entry_zero] * (ncols - len(src))
         shifted = [j for j, v in enumerate(self.shift) if v]
         self.rows, self.dens, self.flip = [], [], []
-        for (nums, den, rel, rhs), slack in zip(rows, self.slack_col):
-            if exact:
-                row = [nums[j] * s for j, s in src]
-            else:
-                # a zero coefficient is stored as 0.0, whatever its sign
-                row = [float(nums[j]) * s or 0.0 for j, s in src]
+        for (nums, den, rel, rhs), slack in zip(prog.rows, self.slack_col):
+            # a zero coefficient is stored as the mode's zero, in float
+            # mode whatever its sign
+            row = [nums[j] * s or entry_zero for j, s in src]
             last = rhs * den
             if shifted:
                 shift_total = zero
@@ -211,16 +195,6 @@ class _Standardizer:
                     v = v + s * u[col]
             out.append(v)
         return tuple(out)
-
-
-def prepared_lp(sense, objective, bounds, rows, exact: bool) -> _Standardizer:
-    """The standardizer of lp(sense, objective, rows, bounds) from rows
-    given as (numerators, denominator, rel, rhs) with the coefficients in
-    the row format of `to_row`: the rows `_Standardizer` builds, without
-    its casts.  `solve_lp` takes it in place of the LinearProgram."""
-    std = _Standardizer.__new__(_Standardizer)
-    std._build(sense, tuple(objective), tuple(bounds), rows, exact)
-    return std
 
 
 def _unit_row(row: list, pc: int, exact: bool) -> tuple[list, Num]:
@@ -420,11 +394,11 @@ def _solve_square(matrix: list[list[Num]], rhs: list[Num], tol, exact: bool) -> 
     return [from_row(a[i][n], dens[i], exact) for i in range(n)]
 
 
-def solve_lp(prog: LinearProgram | _Standardizer, exact: bool = True) -> LpOutcome:
-    """Solve with fixed deterministic pivoting; certificates verified before
-    return.  Float mode raises NumericBreakdown when verification fails.
-    ``prog`` is a LinearProgram or a `prepared_lp`, whose own mode holds."""
-    std = prog if isinstance(prog, _Standardizer) else _Standardizer(prog, exact)
+def solve_lp(prog: LinearProgram) -> LpOutcome:
+    """Solve in the program's own mode with fixed deterministic pivoting;
+    certificates verified before return.  Float mode raises
+    NumericBreakdown when verification fails."""
+    std = _Standardizer(prog)
     zero = std.zero
     tab = _Tableau(std)
     residue = tab.phase1()
@@ -433,7 +407,7 @@ def solve_lp(prog: LinearProgram | _Standardizer, exact: bool = True) -> LpOutco
         if y is None:
             raise NumericBreakdown("cannot recover Farkas certificate")
         farkas = tuple(std.flip[i] * y[i] for i in range(std.nrows))
-        _verify_farkas(std.prog, farkas, std.tol.feas)
+        _verify_farkas(prog, farkas, std.tol.feas)
         return LpOutcome(status=INFEASIBLE, farkas=farkas)
     if tab.n_art:
         tab.drive_out_artificials()
@@ -445,7 +419,7 @@ def solve_lp(prog: LinearProgram | _Standardizer, exact: bool = True) -> LpOutco
             if tab.row_alive[i] and tab.basis[i] < std.ncols:
                 ray_u[tab.basis[i]] = -tab.value(i, unbounded_col)
         ray = std.to_user(ray_u, point=False)
-        _verify_ray(std.prog, ray, std.tol.feas)
+        _verify_ray(prog, ray, std.tol.feas)
         return LpOutcome(status=UNBOUNDED, ray=ray)
 
     u = [zero] * std.ncols
@@ -454,13 +428,13 @@ def solve_lp(prog: LinearProgram | _Standardizer, exact: bool = True) -> LpOutco
             u[tab.basis[i]] = tab.value(i, -1)
     x = std.to_user(u)
     if std.exact:  # the zero terms of the objective add nothing
-        value = sum((c * v for c, v in zip(std.objective, x) if c), std.zero)
+        value = sum((c * v for c, v in zip(prog.objective, x) if c), std.zero)
     else:
-        value = dot(std.objective, x)
+        value = dot(prog.objective, x)
     y = _dual_from_basis(std, tab, phase1=False)
     if y is None:
         raise NumericBreakdown("cannot recover dual solution")
-    _verify_optimal(std, u, y, exact)
+    _verify_optimal(std, u, y)
     duals = tuple(std.sense_sign * std.flip[i] * y[i] for i in range(std.nrows))
     return LpOutcome(status=OPTIMAL, x=x, value=value, row_duals=duals)
 
@@ -498,12 +472,13 @@ def _dual_from_basis(std: _Standardizer, tab: _Tableau, phase1: bool):
     return y
 
 
-def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
+def _verify_optimal(std: _Standardizer, u, y) -> None:
     """A u = b, u >= 0, c - A^T y >= 0 and complementary slackness, against
     the standardizer's rows, with u and y_i / d_i in the row format of
     `to_row`: in exact mode integers over common denominators, so each test
     compares the sign of an integer that is a positive multiple of the
     quantity it checks."""
+    exact = std.exact
     u_num, u_den = to_row(u, exact)
     z, z_den = to_row([yi / d for yi, d in zip(y, std.dens)], exact)
     for i, row in enumerate(std.rows):
@@ -524,16 +499,19 @@ def _verify_optimal(std: _Standardizer, u, y, exact) -> None:
 
 
 def _verify_farkas(prog: LinearProgram, farkas, t) -> None:
+    """The rows aggregated under ``farkas``, each row's numerators divided
+    by its denominator, give a constraint no point within the bounds meets."""
     n = len(prog.objective)
     w = [0] * n
     delta = 0
-    for (coeffs, rel, rhs), yi in zip(prog.rows, farkas):
+    for (nums, den, rel, rhs), yi in zip(prog.rows, farkas):
         if rel == GE and yi < -t:
             raise NumericBreakdown("Farkas sign violated on >= row")
         if rel == LE and yi > t:
             raise NumericBreakdown("Farkas sign violated on <= row")
+        scaled = yi / den
         for j in range(n):
-            w[j] = w[j] + yi * coeffs[j]
+            w[j] = w[j] + scaled * nums[j]
         delta += yi * rhs
     # sup of w.x over the bounds must fall strictly below delta
     sup = 0
@@ -555,17 +533,20 @@ def _verify_farkas(prog: LinearProgram, farkas, t) -> None:
 
 
 def _verify_ray(prog: LinearProgram, ray, t) -> None:
+    """The ray improves the objective and stays within every row and bound;
+    a row's numerators give den times its value along the ray, so it is
+    held to t * den."""
     improving = dot(prog.objective, ray)
     ok = improving < -t if prog.sense == "min" else improving > t
     if not ok:
         raise NumericBreakdown(f"ray does not improve objective ({improving})")
-    for coeffs, rel, _ in prog.rows:
-        d = dot(coeffs, ray)
-        if rel == LE and d > t:
+    for nums, den, rel, _ in prog.rows:
+        d, slack = dot(nums, ray), t * den
+        if rel == LE and d > slack:
             raise NumericBreakdown("ray escapes a <= row")
-        if rel == GE and d < -t:
+        if rel == GE and d < -slack:
             raise NumericBreakdown("ray escapes a >= row")
-        if rel == EQ and abs(d) > t:
+        if rel == EQ and abs(d) > slack:
             raise NumericBreakdown("ray escapes an == row")
     for (lo, hi), dj in zip(prog.bounds, ray):
         if lo is not None and dj < -t:

@@ -9,10 +9,10 @@ scope's gains and meet some budget rows.  A venue price has one budget row
 per funded submarket and reads the hedge from its row duals; one check
 that uses no LP code then proves both sides: the hedge dominates the
 claim, the witness lies in the cone within its budget rows, and the gap is
-zero (exactly in rational mode).  The cone LP's gain rows and the
-witness's orthogonality check (`arbitrage.check_orthogonal`, the one the
-deflator certificate passes) read the row each gain carries,
-`GainAtom.row`.  The weighted measure-set extreme E[X H]/E[X Z] is the
+zero (exactly in rational mode).  The cone LP, a `LinearProgram` in the
+model's mode, and the witness's orthogonality check
+(`arbitrage.check_orthogonal`, the one the deflator certificate passes)
+read the row each gain carries, `GainAtom.row`.  The weighted measure-set extreme E[X H]/E[X Z] is the
 same LP over the slice E[X Z] = 1.  Closed-form identities for
 one-dimensional submarkets, constant growth ratios, and the two-submarket
 case are evaluated against the LPs rather than assumed.
@@ -49,7 +49,7 @@ from .gains import (
     strategy_from_coefficients,
     terminal_value,
 )
-from .lp import EQ, INFEASIBLE, LE, OPTIMAL, prepared_lp, solve_lp
+from .lp import EQ, INFEASIBLE, LE, OPTIMAL, LinearProgram, solve_lp
 from .market import Claim, MarketModel
 from .numbers import Num, dot, from_row, to_row, tolerances
 
@@ -180,7 +180,7 @@ def _cone_lp(model: MarketModel, h, scope: str, budgets, sense: str):
     row of `to_row`.  The gain rows are the ones the gains carry."""
     rows = [(*g.row, EQ, 0) for g in scope_basis(model, scope)]
     rows += [(wn, wd, rel, 1) for (wn, wd), rel in budgets]
-    return solve_lp(prepared_lp(sense, h, [(0, None)] * len(h), rows, model.exact), model.exact)
+    return solve_lp(LinearProgram(sense, h, tuple(rows), ((0, None),) * len(h), model.exact))
 
 
 def _price_venue(model: MarketModel, h: tuple[Num, ...], scope: str, labels) -> PriceReport:

@@ -72,8 +72,8 @@ def in_span(
     for k in range(len(target)):
         coeffs = [vectors[j][k] for j in range(nvars)]
         rows.append((coeffs, EQ, target[k]))
-    prog = lp("min", [0] * nvars, rows, bounds=[(None, None)] * nvars)
-    return solve_lp(prog, exact).status != INFEASIBLE
+    prog = lp("min", [0] * nvars, rows, bounds=[(None, None)] * nvars, exact=exact)
+    return solve_lp(prog).status != INFEASIBLE
 
 
 def fractional_reciprocal(model: MarketModel, claim, weight: Mapping[str, Num], scope: str = GLOBAL) -> Num:

@@ -287,6 +287,25 @@ def test_direct_lp_equivalence_on_random_models():
             _witness_is_sound(model, checker.witness)
 
 
+def test_generated_trees_have_the_periods_asked_for():
+    for periods in (1, 2, 3, 4):
+        assert random_model(0, atoms=8, periods=periods).tree.horizon == periods
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_three_period_verdicts_agree_with_the_direct_lp(mode):
+    verdicts = set()
+    for seed in range(8):
+        generated = random_model(seed, atoms=8, periods=3)
+        assert generated.tree.horizon == 3
+        model = load_market({**serialize_market(generated), "mode": mode})
+        _, witness = arbitrage_lp(model)
+        ok = check_global_nfl(model).ok
+        assert ok == (witness is None), seed
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_martingale_measures_m2(m2):
     cert = check_global_nfl(m2).certificate
     assert martingale_measure(m2, cert, "tau1") == {"r.0": F(1, 3), "r.1": F(2, 3)}

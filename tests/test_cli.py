@@ -113,6 +113,25 @@ def test_price_submarket_venue_and_float_mode(capsys, m2_path):
     assert payload["selected_submarket"] == "tau2"
 
 
+def test_price_mode_loads_the_document_in_that_mode(capsys, m2_path, tmp_path):
+    # float probabilities, a tau2 of dyadic floats and a claim with more
+    # digits than a serialized float keeps: --mode rational reads the floats
+    # of the document exactly, as the document with "mode": "rational" does
+    with open(m2_path) as fh:
+        doc = json.load(fh)
+    doc["tree"]["atom_probs"] = {"r.0": 0.5, "r.1": 0.5}
+    doc["submarkets"][1]["numeraire"] = {"r": 1.0, "r.0": 1.25, "r.1": 1.0}
+    doc["submarkets"][1]["assets"] = {"r": [4.5], "r.0": [8.125], "r.1": [3.25]}
+    doc["claims"] = [{"label": "Stau1", "payoff": {"r.0": 6.123456789012345, "r.1": 3.0}}]
+    outputs = {}
+    for mode in ("float", "rational"):
+        spec = tmp_path / f"{mode}.json"
+        spec.write_text(json.dumps({**doc, "mode": mode}))
+        code, outputs[mode] = run_cli(capsys, "price", str(spec), "--claim", "Stau1", "--mode", "rational")
+        assert code == 0
+    assert outputs["float"] == outputs["rational"]
+
+
 def test_price_on_arbitrage_model_exits_3(capsys, m1_path, tmp_path):
     with open(m1_path) as fh:
         doc = json.load(fh)

@@ -4,20 +4,24 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multimarket import arbitrage, cli, pricing
 from multimarket import lp as lp_module
-from multimarket.errors import MarketError
+from multimarket.errors import MarketError, NumericBreakdown
 from multimarket.generate import random_claim, random_model
 from multimarket.market import load_market, serialize_market
+from multimarket.numbers import from_row, tolerances
 from multimarket.lp import (
+    EQ,
     GE,
     INFEASIBLE,
     LE,
     OPTIMAL,
     UNBOUNDED,
+    LinearProgram,
     lp,
     solve_lp,
 )
@@ -117,7 +121,7 @@ def test_fractional_m2_cross_price(m2):
 
 def test_float_mode_matches_exact_on_small_lp():
     rows = [([1.0, 2.0], LE, 7.0), ([3.0, 1.0], LE, 9.0)]
-    out = solve_lp(lp("max", [2.0, 3.0], rows), exact=False)
+    out = solve_lp(lp("max", [2.0, 3.0], rows, exact=False))
     exact = solve_lp(lp("max", [F(2), F(3)], [([F(1), F(2)], LE, F(7)), ([F(3), F(1)], LE, F(9))]))
     assert out.status == exact.status == OPTIMAL
     assert abs(out.value - float(exact.value)) < 1e-9
@@ -142,7 +146,7 @@ def test_float_and_exact_modes_agree_on_random_programs():
                             [([F(v) for v in r], rel, F(b)) for r, rel, b in rows], bounds))
         approx = solve_lp(lp("min", [float(c) for c in objective],
                              [([float(v) for v in r], rel, float(b)) for r, rel, b in rows],
-                             bounds), exact=False)
+                             bounds, exact=False))
         assert approx.status == exact.status, seed
         if exact.status == OPTIMAL:
             assert abs(approx.value - float(exact.value)) < 1e-7, seed
@@ -159,6 +163,42 @@ def test_coprime_denominators_hand_checked():
     assert out.value == F(187, 75)
     assert out.row_duals == (F(154, 75), F(11, 25))
     assert sum(d * r for d, r in zip(out.row_duals, (1, 1))) == out.value
+
+
+def _over_denominators(sense, rows, exact):
+    """A program on x >= 0 in two variables whose rows (numerators,
+    denominator, rel, rhs) keep denominators other than 1 in both modes."""
+    entry, cast = (int, F) if exact else (float, float)
+    rows = tuple(([entry(v) for v in nums], entry(den), rel, cast(rhs)) for nums, den, rel, rhs in rows)
+    return LinearProgram(sense, (cast(1), cast(1)), rows, ((0, None), (0, None)), exact)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_farkas_check_rejects_a_perturbed_vector(exact):
+    # x1/3 + 2 x2/3 <= -1/3 has no point in x >= 0: y = (-1, 0) proves it.
+    # Adding the row -x1/7 >= -5/7 with multiplier 1 keeps every sign right
+    # but lowers the aggregate's right-hand side below its supremum 0.
+    prog = _over_denominators("min", [([1, 2], 3, LE, F(-1, 3)), ([-1, 0], 7, GE, F(-5, 7))], exact)
+    t = tolerances(exact).feas
+    if exact:
+        assert solve_lp(prog).status == INFEASIBLE
+    lp_module._verify_farkas(prog, (F(-1), F(0)) if exact else (-1.0, 0.0), t)
+    with pytest.raises(NumericBreakdown, match="Farkas aggregate sup"):
+        lp_module._verify_farkas(prog, (F(-1), F(1)) if exact else (-1.0, 1.0), t)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_ray_check_rejects_a_perturbed_ray(exact):
+    # max x1 + x2 on x1/3 - x2/3 == 0, x1/5 >= 1/5 is unbounded along (1, 1);
+    # (1, 2) still improves the objective and keeps x >= 0, but leaves the
+    # equality row
+    prog = _over_denominators("max", [([1, -1], 3, EQ, 0), ([1, 0], 5, GE, F(1, 5))], exact)
+    t = tolerances(exact).feas
+    if exact:
+        assert solve_lp(prog).status == UNBOUNDED
+    lp_module._verify_ray(prog, (F(1), F(1)) if exact else (1.0, 1.0), t)
+    with pytest.raises(NumericBreakdown, match="ray escapes an == row"):
+        lp_module._verify_ray(prog, (F(1), F(2)) if exact else (1.0, 2.0), t)
 
 
 def test_exact_pivots_keep_integer_rows_in_lowest_terms(monkeypatch):
@@ -262,24 +302,34 @@ def test_random_program_digest():
                 [cast(v) for v in objective],
                 [([cast(v) for v in r], rel, cast(b)) for r, rel, b in rows],
                 [tuple(None if v is None else cast(v) for v in pair) for pair in bounds],
+                exact,
             )
-            digest.update(repr(solve_lp(prog, exact)).encode())
+            digest.update(repr(solve_lp(prog)).encode())
     assert digest.hexdigest() == PROGRAM_DIGEST
 
 
-# The deflator and cone LPs hand the simplex prepared rows; each must equal
-# the standard form `_Standardizer` builds from the same LinearProgram,
-# written out here from the gains, probabilities and budgets themselves.
+# The deflator and cone LPs build their programs from the memo's rows; each
+# must hold the values of, and have the standard form of, the program `lp`
+# builds from the gains, probabilities and budgets themselves.
 _STANDARD_FIELDS = (
     "rows", "dens", "flip", "cost", "cost_den", "var_cols", "shift", "slack_col",
     "ncols", "nrows", "sense_sign", "feas",
 )
 
 
-def _assert_same_standard_form(prepared, prog):
-    reference = lp_module._Standardizer(prog, prepared.exact)
+def _assert_same_program(received, prog):
+    assert received.exact == prog.exact
+    assert (received.sense, received.objective, received.bounds) == (prog.sense, prog.objective, prog.bounds)
+    # each row entry as a number: numerator over denominator
+    assert len(received.rows) == len(prog.rows)
+    for (nums, den, rel, rhs), (pnums, pden, prel, prhs) in zip(received.rows, prog.rows):
+        got = [from_row(v, den, prog.exact) for v in nums]
+        want = [from_row(v, pden, prog.exact) for v in pnums]
+        assert (got, rel, rhs) == (want, prel, prhs)
+    reference = lp_module._Standardizer(prog)
+    standard = lp_module._Standardizer(received)
     for field in _STANDARD_FIELDS:
-        got, want = getattr(prepared, field), getattr(reference, field)
+        got, want = getattr(standard, field), getattr(reference, field)
         # repr as well: float rows keep the sign of each zero
         assert (got, repr(got)) == (want, repr(want)), field
 
@@ -288,9 +338,9 @@ def _recorded(monkeypatch, module):
     received = []
     solve = lp_module.solve_lp
 
-    def recorded(prog, exact):
+    def recorded(prog):
         received.append(prog)
-        return solve(prog, exact)
+        return solve(prog)
 
     monkeypatch.setattr(module, "solve_lp", recorded)
     return received
@@ -313,11 +363,9 @@ def test_deflator_lps_hand_the_core_their_standard_form(monkeypatch):
                     pass
                 gains = [[p * v for p, v in zip(probs, g.payoff)] for g in arbitrage.scope_basis(model, scope)]
                 rows = [(c + [sum(c)], "==", 0) for c in gains] + [(probs + [sum(probs)], "==", 1)]
-                prog = lp("max", [0] * n + [1], rows, [(0, None)] * n + [(None, None)])
+                prog = lp("max", [0] * n + [1], rows, [(0, None)] * n + [(None, None)], model.exact)
                 assert len(received) == 1
-                _assert_same_standard_form(received[0], prog)
-                # the program a Farkas vector is checked against
-                assert received[0].prog == prog
+                _assert_same_program(received[0], prog)
 
 
 def test_cone_lps_of_verify_hand_the_core_their_standard_form(monkeypatch, m2_path, tmp_path):
@@ -329,7 +377,7 @@ def test_cone_lps_of_verify_hand_the_core_their_standard_form(monkeypatch, m2_pa
         rows = [(g.payoff, "==", 0) for g in arbitrage.scope_basis(model, scope)]
         cast = F if model.exact else float
         rows += [([cast(v) / wd for v in wn], rel, 1) for (wn, wd), rel in budgets]
-        programs.append(lp(sense, h, rows))
+        programs.append(lp(sense, h, rows, exact=model.exact))
         return cone_lp(model, h, scope, budgets, sense)
 
     monkeypatch.setattr(pricing, "_cone_lp", written_out)
@@ -342,6 +390,5 @@ def test_cone_lps_of_verify_hand_the_core_their_standard_form(monkeypatch, m2_pa
         programs.clear()
         assert cli.main(["verify", str(spec)]) == 0
         assert len(received) == len(programs) > 0
-        for prepared, prog in zip(received, programs):
-            _assert_same_standard_form(prepared, prog)
-            assert prepared.prog == prog
+        for built, prog in zip(received, programs):
+            _assert_same_program(built, prog)

@@ -32,6 +32,7 @@ from multimarket.errors import (
 from multimarket.generate import random_claim, random_model
 from multimarket.lp import EQ, LE
 from multimarket.market import Submarket, load_market, make_model, scale_submarket, serialize_market
+from multimarket.numbers import from_row
 from multimarket.pricing import (
     basis_swap_price,
     dual_bounds_global,
@@ -400,12 +401,14 @@ def _cone_lp_shape(model, prog):
     n = len(model.tree.leaves)
     if len(prog.objective) != n or prog.bounds != ((0, None),) * n:
         return "not one nonnegative column per atom"
-    gains = [coeffs for coeffs, rel, rhs in prog.rows if (rel, rhs) == (EQ, 0)]
+    gains = [
+        tuple(from_row(v, den, prog.exact) for v in nums) for nums, den, rel, rhs in prog.rows if (rel, rhs) == (EQ, 0)
+    ]
     budgets = prog.rows[len(gains):]
     bases = [[g.payoff for g in scope_basis(model, s)] for s in (GLOBAL, *model.labels)]
     if gains not in bases:
         return "leading rows are not one scope's gains"
-    if not budgets or any(rel not in (EQ, LE) or rhs != 1 for _, rel, rhs in budgets):
+    if not budgets or any(rel not in (EQ, LE) or rhs != 1 for *_, rel, rhs in budgets):
         return "budget rows are not == 1 or <= 1"
     return None
 
@@ -414,9 +417,9 @@ def test_every_pricing_lp_of_verify_is_a_cone_lp(monkeypatch, capsys, tmp_path, 
     received = []
     solve = lp_module.solve_lp
 
-    def recorded(prog, exact):
+    def recorded(prog):
         received.append(prog)
-        return solve(prog, exact)
+        return solve(prog)
 
     monkeypatch.setattr(pricing, "solve_lp", recorded)
     with open(m2_path) as handle:
@@ -435,7 +438,7 @@ def test_every_pricing_lp_of_verify_is_a_cone_lp(monkeypatch, capsys, tmp_path, 
             received.clear()
             assert cli.main(["verify", str(spec)]) == 0
             assert received, (k, mode)
-            faults = [_cone_lp_shape(model, std.prog) for std in received]
+            faults = [_cone_lp_shape(model, prog) for prog in received]
             assert faults == [None] * len(received), (k, mode)
     capsys.readouterr()
 
