@@ -44,7 +44,7 @@ from .gains import (
 )
 from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp, solve_lp
 from .market import MarketModel
-from .numbers import Num, dot, from_row, to_row, tolerances
+from .numbers import Num, dot, from_row, left_sum, to_row, tolerances
 
 GLOBAL = "global"
 
@@ -243,8 +243,8 @@ def extract_deflator(model: MarketModel, scope: str = GLOBAL) -> DeflatorCertifi
     for g in basis:
         gn, gd = g.row
         coeffs = [p * g for p, g in zip(pn, gn)]
-        rows.append((coeffs + [sum(coeffs)], pd * gd, EQ, 0))
-    rows.append((pn + [sum(pn)], pd, EQ, 1))
+        rows.append((coeffs + [left_sum(coeffs)], pd * gd, EQ, 0))
+    rows.append((pn + [left_sum(pn)], pd, EQ, 1))
     objective = (0,) * len(atoms) + (1,)
     bounds = ((0, None),) * len(atoms) + ((None, None),)
     out = solve_lp(LinearProgram("max", objective, tuple(rows), bounds, model.exact))

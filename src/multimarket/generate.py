@@ -147,10 +147,9 @@ def random_model(
         planted = planted or attempts >= 2  # planted construction always passes
 
 
-def random_claim(rng: random.Random, model: MarketModel, nonnegative: bool = True) -> dict[str, Num]:
-    lo = 0 if nonnegative else -20
+def random_claim(rng: random.Random, model: MarketModel) -> dict[str, Num]:
     return {
-        a: Fraction(rng.randint(lo, 40), rng.choice((1, 2, 4)))
+        a: Fraction(rng.randint(0, 40), rng.choice((1, 2, 4)))
         for a in model.tree.leaves
     }
 

@@ -10,13 +10,15 @@ the same exact values as over Fractions, so the pivot path is the same.
 A LinearProgram carries its own numeric mode and holds its rows in the row
 format of `numbers.to_row`: `lp` casts plain values into it, while the
 deflator and cone LPs build theirs from the rows each gain carries and the
-memo's probability and growth rows.  Every outcome carries a certificate
-that is checked, against the program's own rows, before returning:
+memo's probability and growth rows.  Each variable is of one of the two
+kinds those programs use: nonnegative, or free.  Every outcome carries a
+certificate that is checked, against the program's own rows, before
+returning:
 
 * optimal: primal and dual solutions with complementary slackness and a
   duality gap within the mode's feasibility tolerance (zero when exact),
 * infeasible: a Farkas vector over the rows whose aggregate constraint no
-  point within the variable bounds can satisfy,
+  point with its nonnegative variables nonnegative can satisfy,
 * unbounded: a feasible improving ray.
 """
 
@@ -44,9 +46,8 @@ class LinearProgram:
 
     Each row is (numerators, denominator, rel, rhs): its coefficients in the
     row format of `numbers.to_row` for the program's mode, its right-hand
-    side a number.  Bounds are (lower, upper) with None for unbounded;
-    two-sided finite bounds are not supported (state the second side as a
-    row instead).
+    side a number.  Each variable's bounds are (0, None), nonnegative, or
+    (None, None), free; state any other bound as a row.
     """
 
     sense: str
@@ -66,9 +67,9 @@ class LinearProgram:
                 raise ValueError(f"unknown relation {rel!r}")
         if len(self.bounds) != n:
             raise ValueError("bounds dimension mismatch")
-        for lo, hi in self.bounds:
-            if lo is not None and hi is not None:
-                raise ValueError("two-sided bounds unsupported; add a row")
+        for bound in self.bounds:
+            if tuple(bound) not in ((0, None), (None, None)):
+                raise ValueError(f"bounds {bound!r} unsupported: use (0, None) or (None, None) and add a row")
 
 
 def lp(sense, objective, rows, bounds=None, exact: bool = True) -> LinearProgram:
@@ -117,23 +118,16 @@ class _Standardizer:
         entry_zero = 0 if exact else 0.0
         cast = Fraction if exact else float
 
-        # user var j -> [(std col, sign)] plus a constant shift:
-        #   x_j = shift_j + sum(sign * u_col)
+        # user var j -> [(std col, sign)]: x_j = sum(sign * u_col), one
+        # column for a nonnegative variable, two for a free one
         self.var_cols: list[list[tuple[int, int]]] = []
-        self.shift: list[Num] = []
         ncols = 0
-        for lo, hi in prog.bounds:
+        for lo, _ in prog.bounds:
             if lo is not None:
                 self.var_cols.append([(ncols, 1)])
-                self.shift.append(cast(lo))
-                ncols += 1
-            elif hi is not None:
-                self.var_cols.append([(ncols, -1)])
-                self.shift.append(cast(hi))
                 ncols += 1
             else:
                 self.var_cols.append([(ncols, 1), (ncols + 1, -1)])
-                self.shift.append(zero)
                 ncols += 2
         # slack columns follow, one per inequality row
         self.slack_col: list[int | None] = []
@@ -159,18 +153,12 @@ class _Standardizer:
         # b >= 0, flip records the sign applied
         src = [(j, s) for j, cols in enumerate(self.var_cols) for _, s in cols]
         pad = [entry_zero] * (ncols - len(src))
-        shifted = [j for j, v in enumerate(self.shift) if v]
         self.rows, self.dens, self.flip = [], [], []
         for (nums, den, rel, rhs), slack in zip(prog.rows, self.slack_col):
             # a zero coefficient is stored as the mode's zero, in float
             # mode whatever its sign
             row = [nums[j] * s or entry_zero for j, s in src]
             last = rhs * den
-            if shifted:
-                shift_total = zero
-                for j in shifted:
-                    shift_total += nums[j] * self.shift[j]
-                last -= shift_total
             if exact and last.denominator != 1:
                 scale = last.denominator
                 row, den, last = [v * scale for v in row], den * scale, last * scale
@@ -184,12 +172,11 @@ class _Standardizer:
             self.dens.append(den)
         self.feas = self.tol.feas * (1 + max((abs(row[-1]) for row in self.rows), default=0))
 
-    def to_user(self, u: Sequence[Num], point: bool = True) -> tuple[Num, ...]:
-        """The user variables of the standard point u; a direction (``point``
-        false) maps the same way without the bounds' shift."""
+    def to_user(self, u: Sequence[Num]) -> tuple[Num, ...]:
+        """The user variables of the standard point or direction u."""
         out = []
-        for j, cols in enumerate(self.var_cols):
-            v = self.shift[j] if point else self.zero
+        for cols in self.var_cols:
+            v = self.zero
             for col, s in cols:
                 if u[col] or not self.exact:  # adding an exact zero changes nothing
                     v = v + s * u[col]
@@ -418,7 +405,7 @@ def solve_lp(prog: LinearProgram) -> LpOutcome:
         for i in range(len(tab.rows)):
             if tab.row_alive[i] and tab.basis[i] < std.ncols:
                 ray_u[tab.basis[i]] = -tab.value(i, unbounded_col)
-        ray = std.to_user(ray_u, point=False)
+        ray = std.to_user(ray_u)
         _verify_ray(prog, ray, std.tol.feas)
         return LpOutcome(status=UNBOUNDED, ray=ray)
 
@@ -513,23 +500,14 @@ def _verify_farkas(prog: LinearProgram, farkas, t) -> None:
         for j in range(n):
             w[j] = w[j] + scaled * nums[j]
         delta += yi * rhs
-    # sup of w.x over the bounds must fall strictly below delta
-    sup = 0
-    for j in range(n):
-        lo, hi = prog.bounds[j]
-        wj = w[j]
-        if abs(wj) <= t:
-            continue
-        if wj > 0:
-            if hi is None:
-                raise NumericBreakdown("Farkas aggregate unbounded above")
-            sup += wj * hi
-        else:
-            if lo is None:
-                raise NumericBreakdown("Farkas aggregate unbounded above")
-            sup += wj * lo
-    if not sup < delta - t:
-        raise NumericBreakdown(f"Farkas aggregate sup {sup} !< rhs {delta}")
+    # sup of w.x over the bounds must fall strictly below delta: every
+    # variable can grow and a free one can fall, so the sup is 0 unless w
+    # rewards such a move
+    for wj, (lo, _) in zip(w, prog.bounds):
+        if wj > t or (wj < -t and lo is None):
+            raise NumericBreakdown("Farkas aggregate unbounded above")
+    if not 0 < delta - t:
+        raise NumericBreakdown(f"Farkas aggregate sup 0 !< rhs {delta}")
 
 
 def _verify_ray(prog: LinearProgram, ray, t) -> None:
@@ -548,9 +526,7 @@ def _verify_ray(prog: LinearProgram, ray, t) -> None:
             raise NumericBreakdown("ray escapes a >= row")
         if rel == EQ and abs(d) > slack:
             raise NumericBreakdown("ray escapes an == row")
-    for (lo, hi), dj in zip(prog.bounds, ray):
+    for (lo, _), dj in zip(prog.bounds, ray):
         if lo is not None and dj < -t:
             raise NumericBreakdown("ray escapes a lower bound")
-        if hi is not None and dj > t:
-            raise NumericBreakdown("ray escapes an upper bound")
 

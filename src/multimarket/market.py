@@ -57,7 +57,6 @@ class MarketModel:
     submarkets: tuple[Submarket, ...]
     bound_constant: Num | None = None
     claims: tuple[Claim, ...] = ()
-    exact: bool = True
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _memoized(self, key: Hashable, compute: Callable[[], T]) -> T:
@@ -69,6 +68,11 @@ class MarketModel:
         except KeyError:
             value = self._memo[key] = compute()
             return value
+
+    @property
+    def exact(self) -> bool:
+        """The numeric mode, the tree's."""
+        return self.tree.exact
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -116,17 +120,13 @@ def make_model(
     submarkets: Sequence[Submarket],
     bound_constant: Num | None = None,
     claims: Sequence[Claim] = (),
-    exact: bool | None = None,
 ) -> MarketModel:
     """Assemble and validate a model; raises on structural defects."""
-    if exact is None:
-        exact = tree.exact
     model = MarketModel(
         tree=tree,
         submarkets=tuple(submarkets),
         bound_constant=bound_constant,
         claims=tuple(claims),
-        exact=exact,
     )
     report = validate_model(model)
     if not report.ok:
@@ -342,7 +342,7 @@ def load_market(document: Mapping) -> MarketModel:
                 payoff={a: parse_scalar(v, exact) for a, v in c["payoff"].items()},
             )
         )
-    return make_model(tree, submarkets, bound_constant=bound_c, claims=claims, exact=exact)
+    return make_model(tree, submarkets, bound_constant=bound_c, claims=claims)
 
 
 def serialize_market(model: MarketModel) -> dict:

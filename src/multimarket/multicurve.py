@@ -145,7 +145,7 @@ def build_tenor_market(
             assets = {n: tuple(v) for n, v in assets_raw.items()}
             dim = len(next(iter(assets.values())))
         submarkets.append(Submarket(label=label, dim=dim, assets=assets, numeraire=numeraire))
-    return make_model(tree, submarkets, exact=tree.exact)
+    return make_model(tree, submarkets)
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,6 @@ def cotrade_arbitrage_demo(
                 numeraire=rich_path,
             )
         ],
-        exact=tree.exact,
     )
     merged_result = check_global_nfl(merged)
     if merged_result.ok:
@@ -295,7 +294,6 @@ def cotrade_arbitrage_demo(
                 numeraire=rich_path,
             ),
         ],
-        exact=tree.exact,
     )
     split_result = check_global_nfl(split)
     if not split_result.ok:

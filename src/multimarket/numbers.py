@@ -116,3 +116,12 @@ def dot(a, b):
     for ai, bi in zip(a, b):
         total += ai * bi
     return total
+
+
+def left_sum(values):
+    """The sum of ``values`` added left to right, as `dot` adds them: from
+    Python 3.12 on, the builtin `sum` compensates the rounding of floats."""
+    total = 0
+    for v in values:
+        total += v
+    return total

@@ -84,12 +84,10 @@ def _payoff_vector(model: MarketModel, claim) -> tuple[Num, ...]:
     return tuple(claim[a] for a in model.tree.leaves)
 
 
-def terminal_asset_claim(model: MarketModel, label: str, asset: int = 0) -> dict[str, Num]:
-    """The claim paying the submarket asset's terminal value."""
+def terminal_asset_claim(model: MarketModel, label: str) -> dict[str, Num]:
+    """The claim paying the submarket's first asset's terminal value."""
     sub = model.submarket(label)
-    if asset >= sub.dim:
-        raise WrongShape(f"submarket {label!r} has no asset {asset}")
-    return {a: sub.assets[a][asset] for a in model.tree.leaves}
+    return {a: sub.assets[a][0] for a in model.tree.leaves}
 
 
 def _gap(primal: Num, dual: Num, exact: bool) -> Num:

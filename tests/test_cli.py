@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from multimarket.cli import main
-from multimarket.errors import CertificateViolation
+from multimarket.errors import CertificateViolation, NumericBreakdown
 from multimarket.generate import random_claim, random_model
 from multimarket.market import load_market, serialize_market
 
@@ -234,6 +234,18 @@ def test_certificate_violation_exits_4(capsys, monkeypatch, m2_path):
     assert code == 4
 
 
+def test_numeric_breakdown_exits_4(capsys, monkeypatch, m2_path):
+    def broken(model, claim):
+        raise NumericBreakdown("pivot limit exceeded")
+
+    monkeypatch.setattr("multimarket.cli.price_global", broken)
+    code = main(["price", m2_path, "--claim", "Stau1", "--mode", "float"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "numeric breakdown: pivot limit exceeded; retry with --mode rational\n"
+
+
 _VERIFY_UNDER_O = """
 import json, sys
 from multimarket.arbitrage import DeflatorCertificate, scope_basis
@@ -340,6 +352,7 @@ def _rated(doc, rate_structure):
         lambda doc: _rated(doc, 5),
         lambda doc: _rated(doc, {"base_rate": ["0"], "spreads": {"tau1": {"r": "0"}}}),
         lambda doc: _rated(doc, {"base_rate": {"r": "0"}, "spreads": {"tau1": 5}}),
+        lambda doc: _rated(doc, {"base_rate": {"r": "0"}, "spreads": {"tau2": {"r": "0"}}}),
         lambda doc: {**doc, "rate_structure": 5},
     ],
     ids=[
@@ -356,6 +369,7 @@ def _rated(doc, rate_structure):
         "rate-structure-int",
         "base-rate-list",
         "spread-not-map",
+        "spread-missing",
         "rate-structure-unused",
     ],
 )
@@ -366,6 +380,38 @@ def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):
     bad.write_text(json.dumps(defect(document)))
     code, _ = run_cli(capsys, command, str(bad))
     assert code == 2
+
+
+def test_zero_rates_give_m2_its_outputs(capsys, m2_path, tmp_path):
+    # tau1's unit numeraire, left to zero base rate and spread
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    rated = tmp_path / "rated.json"
+    rated.write_text(json.dumps(_rated(document, {"base_rate": {"r": "0"}, "spreads": {"tau1": {"r": "0"}}})))
+    for argv in (["verify"], ["deflator"], ["price", "--claim", "Stau1", "--mode", "float"]):
+        command, *options = argv
+        want = run_cli(capsys, command, m2_path, *options)
+        assert run_cli(capsys, command, str(rated), *options) == want
+        assert want[0] == 0
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_rate_structure_compounds_the_numeraire(m2_path, mode):
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    rates = {
+        "base_rate": {"r": "1/20"},
+        "spreads": {"tau1": {"r": "1/100"}},
+        "initial_numeraire": {"tau1": "2"},
+    }
+    model = load_market({**_rated(document, rates), "mode": mode})
+    if mode == "rational":
+        grown = F(2121, 1000)
+        assert model.submarket("tau1").numeraire == {"r": 2, "r.0": grown, "r.1": grown}
+    else:
+        grown = 2.0 * ((1 + 0.05 * 1.0) * (1 + 0.01 * 1.0))
+        assert model.submarket("tau1").numeraire == {"r": 2.0, "r.0": grown, "r.1": grown}
+    assert all(type(v) is type(grown) for v in model.submarket("tau1").numeraire.values())
 
 
 def _nested(tmp_path, m2_path, kind):

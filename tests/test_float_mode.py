@@ -28,7 +28,7 @@ def m2_float():
         "tau2", 1, {"r": (5.0,), "r.0": (7.2,), "r.1": (4.4,)},
         {"r": 1.0, "r.0": 1.2, "r.1": 1.0},
     )
-    return make_model(tree, [tau1, tau2], exact=False)
+    return make_model(tree, [tau1, tau2])
 
 
 def test_float_pipeline_matches_rational_values():

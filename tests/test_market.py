@@ -105,7 +105,7 @@ def test_validate_flags_negative_numeraire():
     )
     from multimarket.market import MarketModel
 
-    model = MarketModel(tree=tree, submarkets=(bad,), exact=True)
+    model = MarketModel(tree=tree, submarkets=(bad,))
     report = validate_model(model)
     assert not report.ok
     assert any(
@@ -117,7 +117,7 @@ def test_validate_empty_market():
     tree = build_tree([2], ["1/2", "1/2"])
     from multimarket.market import MarketModel
 
-    report = validate_model(MarketModel(tree=tree, submarkets=(), exact=True))
+    report = validate_model(MarketModel(tree=tree, submarkets=()))
     assert not report.ok
 
 

@@ -143,7 +143,7 @@ def _float_twin(model):
         _atoms_under=tree._atoms_under,
         _paths=tree._paths,
     )
-    return MarketModel(tree=float_tree, submarkets=subs, exact=False)
+    return MarketModel(tree=float_tree, submarkets=subs)
 
 
 def test_nested_line_search_on_hand_made_convex_functions():
