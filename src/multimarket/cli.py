@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .generate import random_model
-from .market import MarketModel, load_market, serialize_market, validate_model, walk_document
+from .market import MarketModel, load_market, serialize_market, tightest_bound, walk_document
 from .numbers import format_sig12, parse_scalar, scalar_to_json, tolerances
 from .pricing import (
     dual_bounds_global,
@@ -154,20 +154,17 @@ def cmd_validate(args) -> int:
     except MarketError as exc:
         _emit({"ok": False, "issues": [{"code": type(exc).__name__, "detail": str(exc)}]})
         return EXIT_VALIDATION
-    report = validate_model(model)
     _emit(
         {
-            "ok": report.ok,
+            "ok": True,
             "mode": "rational" if model.exact else "float",
             "atoms": list(model.tree.leaves),
             "submarkets": list(model.labels),
-            "bound": report.bound,
-            "issues": [
-                {"code": i.code, "where": i.where, "detail": i.detail} for i in report.issues
-            ],
+            "bound": tightest_bound(model),
+            "issues": [],
         }
     )
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    return EXIT_OK
 
 
 def cmd_arb(args) -> int:

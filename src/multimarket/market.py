@@ -101,110 +101,82 @@ class MarketModel:
         return {a: sub.numeraire[a] / initial for a in self.tree.leaves}
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    where: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    issues: tuple[ValidationIssue, ...]
-    bound: Num | None
-
-
 def make_model(
     tree: ScenarioTree,
     submarkets: Sequence[Submarket],
     bound_constant: Num | None = None,
     claims: Sequence[Claim] = (),
 ) -> MarketModel:
-    """Assemble and validate a model; raises on structural defects."""
+    """Assemble a model and validate it: raises the first defect that
+    `validate_model` finds."""
     model = MarketModel(
         tree=tree,
         submarkets=tuple(submarkets),
         bound_constant=bound_constant,
         claims=tuple(claims),
     )
-    report = validate_model(model)
-    if not report.ok:
-        issue = report.issues[0]
-        exc = {
-            "NonPositiveNumeraire": NonPositiveNumeraire,
-            "MissingNodeValue": MissingNodeValue,
-            "DimensionMismatch": DimensionMismatch,
-        }.get(issue.code, SchemaError)
-        raise exc(f"{issue.code} at {issue.where}: {issue.detail}")
+    validate_model(model)
     return model
 
 
-def validate_model(model: MarketModel) -> ValidationReport:
-    """Non-raising structural audit; also computes the tightest bound K."""
-    issues: list[ValidationIssue] = []
+def validate_model(model: MarketModel) -> None:
+    """Structural audit: raises the first defect found, as "<code> at
+    <where>: <detail>".  The order is: an empty market; per submarket a
+    reused label, a dim below one, then per node a missing numeraire or
+    asset entry, a nonpositive numeraire and a wrong asset count; a
+    tightest bound above the declared constant; per claim an atom without a
+    payoff.  The code names the exception class, except that EmptyMarket,
+    DuplicateLabel and BoundExceeded raise SchemaError."""
     tree = model.tree
     if not model.submarkets:
-        issues.append(ValidationIssue("EmptyMarket", "-", "no submarkets declared"))
+        raise SchemaError("EmptyMarket at -: no submarkets declared")
     seen = set()
     for sub in model.submarkets:
         if sub.label in seen:
-            issues.append(ValidationIssue("DuplicateLabel", sub.label, "label reused"))
+            raise SchemaError(f"DuplicateLabel at {sub.label}: label reused")
         seen.add(sub.label)
         if sub.dim < 1:
-            issues.append(ValidationIssue("DimensionMismatch", sub.label, f"dim={sub.dim}"))
+            raise DimensionMismatch(f"DimensionMismatch at {sub.label}: dim={sub.dim}")
         for node_id in tree.nodes:
+            where = f"{sub.label}/{node_id}"
             if node_id not in sub.numeraire:
-                issues.append(
-                    ValidationIssue("MissingNodeValue", f"{sub.label}/{node_id}", "numeraire missing")
-                )
-                continue
+                raise MissingNodeValue(f"MissingNodeValue at {where}: numeraire missing")
             if node_id not in sub.assets:
-                issues.append(
-                    ValidationIssue("MissingNodeValue", f"{sub.label}/{node_id}", "assets missing")
-                )
-                continue
+                raise MissingNodeValue(f"MissingNodeValue at {where}: assets missing")
             if sub.numeraire[node_id] <= 0:
-                issues.append(
-                    ValidationIssue(
-                        "NonPositiveNumeraire",
-                        f"{sub.label}/{node_id}",
-                        f"numeraire={sub.numeraire[node_id]}",
-                    )
+                raise NonPositiveNumeraire(
+                    f"NonPositiveNumeraire at {where}: numeraire={sub.numeraire[node_id]}"
                 )
             if len(sub.assets[node_id]) != sub.dim:
-                issues.append(
-                    ValidationIssue(
-                        "DimensionMismatch",
-                        f"{sub.label}/{node_id}",
-                        f"{len(sub.assets[node_id])} values for dim {sub.dim}",
-                    )
+                raise DimensionMismatch(
+                    f"DimensionMismatch at {where}: "
+                    f"{len(sub.assets[node_id])} values for dim {sub.dim}"
                 )
-
-    bound: Num | None = None
-    if not issues:
-        candidates: list[Num] = []
-        for sub in model.submarkets:
-            for node_id in tree.nodes:
-                num = sub.numeraire[node_id]
-                candidates.append(num)
-                candidates.extend(abs(v) / num for v in sub.assets[node_id])
-        bound = max(candidates) if candidates else None
-        if model.bound_constant is not None and bound is not None and bound > model.bound_constant:
-            issues.append(
-                ValidationIssue(
-                    "BoundExceeded",
-                    "-",
-                    f"tightest bound {bound} exceeds declared constant {model.bound_constant}",
-                )
+    if model.bound_constant is not None:
+        bound = tightest_bound(model)
+        if bound > model.bound_constant:
+            raise SchemaError(
+                f"BoundExceeded at -: tightest bound {bound} "
+                f"exceeds declared constant {model.bound_constant}"
             )
     for claim in model.claims:
         for atom in tree.leaves:
             if atom not in claim.payoff:
-                issues.append(
-                    ValidationIssue("MissingNodeValue", f"claim {claim.label}/{atom}", "payoff missing")
-                )
-    return ValidationReport(ok=not issues, issues=tuple(issues), bound=bound)
+                raise MissingNodeValue(f"MissingNodeValue at claim {claim.label}/{atom}: payoff missing")
+
+
+def tightest_bound(model: MarketModel) -> Num:
+    """The tightest K of a valid model: the largest numeraire value and
+    deflated asset magnitude |S^i / S^0| over every submarket and node."""
+    return max(
+        value
+        for sub in model.submarkets
+        for node_id in model.tree.nodes
+        for value in (
+            sub.numeraire[node_id],
+            *(abs(v) / sub.numeraire[node_id] for v in sub.assets[node_id]),
+        )
+    )
 
 
 def discounted_prices(model: MarketModel, label: str) -> dict[str, tuple[Num, ...]]:

@@ -11,6 +11,7 @@ indexing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -124,11 +125,20 @@ def _explicit_nodes(spec) -> dict[str, Node]:
     }
 
 
+def _check_atom_probs(atom_probs, atoms: int) -> None:
+    """`atom_probs` is a map or a list with one entry per atom."""
+    if isinstance(atom_probs, Mapping):
+        if len(atom_probs) != atoms:
+            raise MalformedTopology("atom probabilities must cover exactly the leaves")
+    elif not isinstance(atom_probs, Sequence) or isinstance(atom_probs, str):
+        raise SchemaError(f"atom_probs must be a map or a list, got {atom_probs!r}")
+    elif len(atom_probs) != atoms:
+        raise MalformedTopology(f"{len(atom_probs)} probabilities for {atoms} atoms")
+
+
 def _branching_nodes(branching: Sequence[int]) -> dict[str, Node]:
     """Nodes of per-level branching counts: the (id, parent) listing,
     level by level, built as an explicit listing."""
-    if not branching or any((not isinstance(b, int)) or b < 1 for b in branching):
-        raise MalformedTopology(f"branching counts must be positive ints: {branching!r}")
     level: list[tuple[str, str | None]] = [(ROOT_ID, None)]
     listing = level[:]
     for count in branching:
@@ -149,6 +159,11 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
     if branching_spec and not isinstance(branching_spec[0], int):
         nodes = _explicit_nodes(branching_spec)
     else:
+        if not branching_spec or any((not isinstance(b, int)) or b < 1 for b in branching_spec):
+            raise MalformedTopology(f"branching counts must be positive ints: {branching_spec!r}")
+        # the leaf count is known before any node is built, so a count far
+        # beyond the probabilities given fails here, not out of memory
+        _check_atom_probs(atom_probs, prod(branching_spec))
         nodes = _branching_nodes(branching_spec)
 
     leaves = tuple(n for n in nodes if not nodes[n].children)
@@ -159,16 +174,8 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
                 f"leaf {leaf!r} terminates at t={nodes[leaf].time} < horizon {horizon}"
             )
 
-    if isinstance(atom_probs, Mapping):
-        raw = dict(atom_probs)
-    elif not isinstance(atom_probs, Sequence) or isinstance(atom_probs, str):
-        raise SchemaError(f"atom_probs must be a map or a list, got {atom_probs!r}")
-    else:
-        if len(atom_probs) != len(leaves):
-            raise MalformedTopology(
-                f"{len(atom_probs)} probabilities for {len(leaves)} atoms"
-            )
-        raw = dict(zip(leaves, atom_probs))
+    _check_atom_probs(atom_probs, len(leaves))
+    raw = dict(atom_probs) if isinstance(atom_probs, Mapping) else dict(zip(leaves, atom_probs))
     if set(raw) != set(leaves):
         raise MalformedTopology("atom probabilities must cover exactly the leaves")
 

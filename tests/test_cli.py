@@ -354,6 +354,7 @@ def _rated(doc, rate_structure):
         lambda doc: _rated(doc, {"base_rate": {"r": "0"}, "spreads": {"tau1": 5}}),
         lambda doc: _rated(doc, {"base_rate": {"r": "0"}, "spreads": {"tau2": {"r": "0"}}}),
         lambda doc: {**doc, "rate_structure": 5},
+        lambda doc: {**doc, "tree": {**doc["tree"], "branching": [10**12]}},
     ],
     ids=[
         "node-entry",
@@ -371,6 +372,7 @@ def _rated(doc, rate_structure):
         "spread-not-map",
         "spread-missing",
         "rate-structure-unused",
+        "branching-huge",
     ],
 )
 def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):

@@ -1,16 +1,19 @@
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from multimarket.errors import NonPositiveNumeraire, SchemaError, UnknownSubmarket
 from multimarket.market import (
+    MarketModel,
     Submarket,
     discounted_prices,
     load_market,
     scale_submarket,
     serialize_market,
+    tightest_bound,
     validate_model,
 )
 from multimarket.tree import build_tree
@@ -79,20 +82,16 @@ def test_discounted_times_numeraire_recovers_assets(m2):
 
 
 def test_validate_reports_bound(m2):
-    report = validate_model(m2)
-    assert report.ok
-    assert report.bound == F(6)
+    # the K that `multimarket validate` prints
+    assert tightest_bound(m2) == F(6)
 
 
 def test_declared_bound_constant_is_checked(m2):
-    from dataclasses import replace
-
-    roomy = replace(m2, bound_constant=F(6))
-    assert validate_model(roomy).ok
-    tight = replace(m2, bound_constant=F(5))
-    report = validate_model(tight)
-    assert not report.ok
-    assert any(i.code == "BoundExceeded" for i in report.issues)
+    validate_model(replace(m2, bound_constant=F(6)))
+    with pytest.raises(
+        SchemaError, match="BoundExceeded at -: tightest bound 6 exceeds declared constant 5"
+    ):
+        validate_model(replace(m2, bound_constant=F(5)))
 
 
 def test_validate_flags_negative_numeraire():
@@ -103,22 +102,24 @@ def test_validate_flags_negative_numeraire():
         {n: (F(1),) for n in tree.nodes},
         {"r": F(1), "r.0": F(-1), "r.1": F(1)},
     )
-    from multimarket.market import MarketModel
-
-    model = MarketModel(tree=tree, submarkets=(bad,))
-    report = validate_model(model)
-    assert not report.ok
-    assert any(
-        i.code == "NonPositiveNumeraire" and "r.0" in i.where for i in report.issues
-    )
+    with pytest.raises(NonPositiveNumeraire, match="r.0"):
+        validate_model(MarketModel(tree=tree, submarkets=(bad,)))
 
 
 def test_validate_empty_market():
     tree = build_tree([2], ["1/2", "1/2"])
-    from multimarket.market import MarketModel
+    with pytest.raises(SchemaError, match="EmptyMarket"):
+        validate_model(MarketModel(tree=tree, submarkets=()))
 
-    report = validate_model(MarketModel(tree=tree, submarkets=()))
-    assert not report.ok
+
+def test_validate_raises_the_first_defect_in_audit_order(m2):
+    # the second submarket reuses the first's label and lacks a numeraire
+    # entry: the label comes first in the audit
+    first, second = m2.submarkets
+    numeraire = {n: v for n, v in second.numeraire.items() if n != "r.1"}
+    clash = replace(second, label=first.label, numeraire=numeraire)
+    with pytest.raises(SchemaError, match=f"^DuplicateLabel at {first.label}: label reused$"):
+        validate_model(replace(m2, submarkets=(first, clash)))
 
 
 def test_document_round_trip(m2_path):
