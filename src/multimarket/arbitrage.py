@@ -36,11 +36,10 @@ from .errors import (
 from .gains import (
     GainAtom,
     SimpleStrategy,
-    complete_self_financing,
     elementary_gains,
     global_gains,
+    self_financing,
     strategy_from_coefficients,
-    terminal_value,
 )
 from .lp import EQ, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp, solve_lp
 from .market import MarketModel
@@ -175,15 +174,13 @@ def _witness_from_coeffs(
     model: MarketModel, basis: Sequence[GainAtom], coeffs: Sequence[Num], scope: str
 ) -> ArbitrageWitness | None:
     tol = tolerances(model.exact).feas
-    strategy = strategy_from_coefficients(model, basis, coeffs)
-    payoff = terminal_value(model, {}, strategy)
+    strategy, payoff = self_financing(model, {}, strategy_from_coefficients(model, basis, coeffs))
     values = [payoff[a] for a in model.tree.leaves]
     if any(v < -tol for v in values) or not any(v > tol for v in values):
         return None
-    completed = complete_self_financing(model, {}, strategy)
     return ArbitrageWitness(
         scope=scope,
-        strategy=completed,
+        strategy=strategy,
         payoff=payoff,
         violating_atoms=tuple(
             a for a in model.tree.leaves if payoff[a] > tol
@@ -335,10 +332,9 @@ def state_price_deflator(
     sub = model.submarket(label)
     out = {}
     for node_id in tree.nodes:
-        atoms = tree.atoms_under(node_id)
-        node_prob = sum(tree.atom_probs[a] for a in atoms)
         cond = sum(
-            tree.atom_probs[a] * certificate.xstar[a] * sub.numeraire[a] for a in atoms
-        ) / node_prob
+            tree.atom_probs[a] * certificate.xstar[a] * sub.numeraire[a]
+            for a in tree.atoms_under(node_id)
+        ) / tree.node_prob(node_id)
         out[node_id] = cond / sub.numeraire[node_id]
     return out

@@ -90,18 +90,16 @@ def _load(path: str) -> MarketModel:
 
 
 def _strategy_payload(strategy):
-    payload = {
+    return {
         "risky": {
             label: {node: list(vec) for node, vec in sorted(nodes.items())}
             for label, nodes in sorted(strategy.risky.items())
-        }
-    }
-    if strategy.numeraire is not None:
-        payload["numeraire"] = {
+        },
+        "numeraire": {
             label: dict(sorted(nodes.items()))
             for label, nodes in sorted(strategy.numeraire.items())
-        }
-    return payload
+        },
+    }
 
 
 def _witness_payload(witness):

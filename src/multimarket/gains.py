@@ -9,6 +9,9 @@ arbitrage test suite).  A gain is stored once, as a row of `numbers.to_row`
 that every LP and check reads: under each child of its node, the numeraire
 row times the discounted price move to that child (integers in rational
 mode), exact zeros elsewhere.  Its payoff is derived on read.
+
+Every hedge and arbitrage witness is a self-financed strategy: one walk down
+the tree, `self_financing`, gives its numeraire legs and its terminal wealth.
 """
 
 from __future__ import annotations
@@ -43,15 +46,15 @@ class GainAtom:
 
 @dataclass(frozen=True)
 class SimpleStrategy:
-    """Predictable one-step positions per submarket.
+    """A self-financed strategy, as :func:`self_financing` builds it.
 
-    ``risky[label][node]`` is the vector held from `node` to its children;
-    ``numeraire[label][node]`` the numeraire position over the same step
-    (None until filled in by :func:`complete_self_financing`).
+    ``risky[label][node]`` is the vector held from `node` to its children and
+    ``numeraire[label][node]`` the numeraire position over the same step, for
+    every non-terminal node.
     """
 
     risky: Mapping[str, Mapping[str, tuple[Num, ...]]]
-    numeraire: Mapping[str, Mapping[str, Num]] | None = None
+    numeraire: Mapping[str, Mapping[str, Num]]
 
 
 def elementary_gains(model: MarketModel, label: str) -> tuple[GainAtom, ...]:
@@ -96,24 +99,22 @@ def global_gains(model: MarketModel) -> tuple[GainAtom, ...]:
 
 def strategy_from_coefficients(
     model: MarketModel, basis: Sequence[GainAtom], coeffs: Sequence[Num]
-) -> SimpleStrategy:
-    """Assemble one-step risky positions from coefficients on basis gains."""
+) -> dict[str, dict[str, tuple[Num, ...]]]:
+    """One-step risky positions, by submarket and node, from coefficients on
+    basis gains."""
     risky: dict[str, dict[str, list[Num]]] = {s.label: {} for s in model.submarkets}
     dims = {s.label: s.dim for s in model.submarkets}
     for g, c in zip(basis, coeffs):
         positions = risky[g.submarket].setdefault(g.node, [0] * dims[g.submarket])
         positions[g.asset] = positions[g.asset] + c
-    return SimpleStrategy(
-        risky={
-            label: {node: tuple(vals) for node, vals in nodes.items()}
-            for label, nodes in risky.items()
-        }
-    )
+    return {
+        label: {node: tuple(vals) for node, vals in nodes.items()}
+        for label, nodes in risky.items()
+    }
 
 
-def _positions(strategy_risky, label, node_id, dim):
-    by_node = strategy_risky.get(label, {})
-    vec = by_node.get(node_id)
+def _positions(risky, label, node_id, dim):
+    vec = risky.get(label, {}).get(node_id)
     if vec is None:
         return (0,) * dim
     if len(vec) != dim:
@@ -123,81 +124,60 @@ def _positions(strategy_risky, label, node_id, dim):
     return tuple(vec)
 
 
-def terminal_value(
+def self_financing(
     model: MarketModel,
     initial_wealth: Mapping[str, Num],
-    strategy: SimpleStrategy | Mapping,
-) -> dict[str, Num]:
-    """Terminal wealth per atom: each submarket compounds its initial wealth
-    in its own numeraire and accumulates the discounted one-step gains."""
-    risky = strategy.risky if isinstance(strategy, SimpleStrategy) else strategy
-    tree = model.tree
-    tildes = {s.label: discounted_prices(model, s.label) for s in model.submarkets}
-    out = {}
-    for leaf in tree.leaves:
-        total = 0
-        path = tree.path(leaf)
-        for sub in model.submarkets:
-            x0 = initial_wealth.get(sub.label, 0)
-            tilde = tildes[sub.label]
-            acc = x0 / sub.numeraire[path[0]]
-            for step, node_id in enumerate(path[:-1]):
-                phi = _positions(risky, sub.label, node_id, sub.dim)
-                succ = path[step + 1]
-                for i in range(sub.dim):
-                    acc += phi[i] * (tilde[succ][i] - tilde[node_id][i])
-            total += sub.numeraire[leaf] * acc
-        out[leaf] = total
-    return out
+    risky: Mapping[str, Mapping[str, Sequence[Num]]],
+) -> tuple[SimpleStrategy, dict[str, Num]]:
+    """The self-financed strategy of one-step risky positions and its
+    terminal wealth per atom: each submarket trades from its own initial
+    wealth in its own numeraire, and wealth is the sum over submarkets.
 
-
-def complete_self_financing(
-    model: MarketModel,
-    initial_wealth: Mapping[str, Num],
-    strategy: SimpleStrategy | Mapping,
-) -> SimpleStrategy:
-    """Fill in the numeraire legs so each submarket trades self-financed from
-    its own initial wealth.
-
-    At the root the numeraire position absorbs whatever the risky positions
-    do not use; at each later rebalancing node it pays for the change in the
-    risky positions at current prices.
+    One walk per submarket down `tree.nodes`, which are in time order,
+    carries each node's numeraire leg and discounted wealth.  At the root the
+    leg absorbs whatever the risky positions do not use; at each later node
+    it pays for the change in the risky positions at current prices.
+    Discounted wealth starts at x0 / N_root and adds the one-step gain
+    phi . (S~_child - S~_parent) on each step; an atom's wealth adds each
+    submarket's N_leaf times its discounted wealth, in declared order.
     """
-    risky_in = strategy.risky if isinstance(strategy, SimpleStrategy) else strategy
     tree = model.tree
-    risky: dict[str, dict[str, tuple[Num, ...]]] = {}
+    positions: dict[str, dict[str, tuple[Num, ...]]] = {}
     numeraire: dict[str, dict[str, Num]] = {}
-    root = tree.path(tree.leaves[0])[0]
+    wealth = {a: 0 for a in tree.leaves}
     for sub in model.submarkets:
-        risky[sub.label] = {
-            n: _positions(risky_in, sub.label, n, sub.dim) for n in tree.nonterminal()
-        }
-        phi0: dict[str, Num] = {}
+        phi = {n: _positions(risky, sub.label, n, sub.dim) for n in tree.nonterminal()}
+        tilde = discounted_prices(model, sub.label)
         x0 = initial_wealth.get(sub.label, 0)
-        phi_root = risky[sub.label][root]
-        spent = sum(p * s for p, s in zip(phi_root, sub.assets[root]))
-        phi0[root] = (x0 - spent) / sub.numeraire[root]
-        for node_id in tree.nonterminal():
-            if node_id == root:
+        legs: dict[str, Num] = {}
+        acc: dict[str, Num] = {}
+        for node_id, node in tree.nodes.items():
+            parent = node.parent
+            prices = sub.assets[node_id]
+            if parent is None:
+                acc[node_id] = x0 / sub.numeraire[node_id]
+                if node.children:
+                    spent = sum(p * s for p, s in zip(phi[node_id], prices))
+                    legs[node_id] = (x0 - spent) / sub.numeraire[node_id]
                 continue
-            parent = tree.node(node_id).parent
-            prev_phi = risky[sub.label][parent]
-            prev_num = phi0[parent]
-            cur_phi = risky[sub.label][node_id]
-            change = sum(
-                (p - c) * s for p, c, s in zip(prev_phi, cur_phi, sub.assets[node_id])
-            )
-            phi0[node_id] = prev_num + change / sub.numeraire[node_id]
-        numeraire[sub.label] = phi0
-    return SimpleStrategy(risky=risky, numeraire=numeraire)
+            held = phi[parent]
+            value = acc[parent]
+            for i in range(sub.dim):
+                value += held[i] * (tilde[node_id][i] - tilde[parent][i])
+            acc[node_id] = value
+            if node.children:
+                change = sum((p - c) * s for p, c, s in zip(held, phi[node_id], prices))
+                legs[node_id] = legs[parent] + change / sub.numeraire[node_id]
+        for leaf in tree.leaves:
+            wealth[leaf] += sub.numeraire[leaf] * acc[leaf]
+        positions[sub.label] = phi
+        numeraire[sub.label] = legs
+    return SimpleStrategy(risky=positions, numeraire=numeraire), wealth
 
 
 def strategy_cost(model: MarketModel, strategy: SimpleStrategy) -> dict[str, Num]:
     """Initial cost per submarket (risky plus numeraire legs at time 0)."""
-    if strategy.numeraire is None:
-        raise DimensionMismatch("strategy has no numeraire legs; complete it first")
-    tree = model.tree
-    root = tree.path(tree.leaves[0])[0]
+    root = model.tree.root
     out = {}
     for sub in model.submarkets:
         phi = _positions(strategy.risky, sub.label, root, sub.dim)

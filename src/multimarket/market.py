@@ -96,8 +96,7 @@ class MarketModel:
 
     def _numeraire_ratio(self, label: str) -> dict[str, Num]:
         sub = self.submarket(label)
-        root = self.tree.path(self.tree.leaves[0])[0]
-        initial = sub.numeraire[root]
+        initial = sub.numeraire[self.tree.root]
         return {a: sub.numeraire[a] / initial for a in self.tree.leaves}
 
 

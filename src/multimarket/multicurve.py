@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
     certificate_failure,
 )
-from .gains import complete_self_financing, strategy_cost, terminal_value
+from .gains import self_financing, strategy_cost
 from .market import MarketModel, Submarket, make_model
 from .numbers import Num, parse_scalar, tolerances
 from .tree import ScenarioTree
@@ -262,8 +262,7 @@ def cotrade_arbitrage_demo(
 
     # explicit buy-cheap / sell-rich lock-in, held to maturity
     hold = {"cotraded": {n: (1,) for n in tree.nonterminal()}}
-    strategy = complete_self_financing(merged, {}, hold)
-    payoff = terminal_value(merged, {}, hold)
+    strategy, payoff = self_financing(merged, {}, hold)
     costs = strategy_cost(merged, strategy)
     if any(c != 0 for c in costs.values()):
         raise certificate_failure(merged.exact, costs, "lock-in strategy must cost nothing")

@@ -9,6 +9,8 @@ document to every LP solved downstream.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isfinite, lcm
@@ -26,6 +28,9 @@ ZERO_TOL = 1e-12  # a witness entry this small counts as zero (boundary)
 Tolerances = namedtuple("Tolerances", "feas member gap zero")
 _TOLERANCES = {True: Tolerances(0, 0, 0, 0), False: Tolerances(FEAS_TOL, MEMBER_TOL, GAP_TOL, ZERO_TOL)}
 
+# the exponent of a decimal string, read before `Fraction` expands it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
 
 def tolerances(exact: bool) -> Tolerances:
     """The tolerance row of a numeric mode: every check compares against it."""
@@ -40,7 +45,10 @@ def parse_scalar(raw, exact: bool = True) -> Num:
     force float mode unless the caller insists on rational conversion.
     A non-finite float (JSON ``NaN`` or ``Infinity``), a value that
     overflows a float in float mode and anything else that is not a number
-    raise SchemaError.
+    raise SchemaError.  So does a string that Python could not print as a
+    number: one whose decimal exponent, or in rational mode whose numerator
+    or denominator, has more digits than the interpreter's limit
+    (`digit_limit`).
     """
     if isinstance(raw, bool):
         raise SchemaError(f"boolean is not a number: {raw!r}")
@@ -53,10 +61,17 @@ def parse_scalar(raw, exact: bool = True) -> Num:
             raise SchemaError(f"non-finite number {raw!r}")
         value = Fraction(raw) if exact else raw
     elif isinstance(raw, str):
+        limit = digit_limit()
+        exponent = _EXPONENT.search(raw)
+        # int() refuses an exponent of more digits than the limit, too
+        if limit and exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
+            raise SchemaError(f"number {raw!r} has more than {limit} digits")
         try:
             value = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"cannot parse number {raw!r}") from exc
+        if exact and (past_digit_limit(value.numerator) or past_digit_limit(value.denominator)):
+            raise SchemaError(f"number {raw!r} has more than {limit} digits")
     else:
         raise SchemaError(f"cannot parse number {raw!r}")
     if exact:
@@ -65,6 +80,19 @@ def parse_scalar(raw, exact: bool = True) -> Num:
         return float(value)
     except OverflowError:
         raise SchemaError(f"number {raw!r} overflows a float") from None
+
+
+def digit_limit() -> int:
+    """The interpreter's limit on the digits of an int it converts to or
+    from text, `sys.get_int_max_str_digits()`; 0 means no limit, as on
+    Pythons before 3.10.7, which have none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def past_digit_limit(n: int) -> bool:
+    """Whether `str(n)` would exceed `digit_limit()`."""
+    limit = digit_limit()
+    return bool(limit) and n.bit_length() > 3 * limit and abs(n) >= 10**limit
 
 
 def scalar_to_json(value: Num):

@@ -43,12 +43,7 @@ from .errors import (
     WrongShape,
     certificate_failure,
 )
-from .gains import (
-    SimpleStrategy,
-    complete_self_financing,
-    strategy_from_coefficients,
-    terminal_value,
-)
+from .gains import SimpleStrategy, self_financing, strategy_from_coefficients
 from .lp import EQ, INFEASIBLE, LE, OPTIMAL, LinearProgram, solve_lp
 from .market import Claim, MarketModel
 from .numbers import Num, dot, from_row, to_row, tolerances
@@ -97,13 +92,14 @@ def _gap(primal: Num, dual: Num, exact: bool) -> Num:
     return gap
 
 
-def _certify(model, h, scope, allocation, hedge, q) -> tuple[Num, Num]:
+def _certify(model, h, scope, allocation, wealth, q) -> tuple[Num, Num]:
     """Check both sides of a price without the LP code; returns the value of
     the witness q (a deflator-cone direction P X over the atoms) and the
     duality gap.
 
-    1. The hedge, replayed from the allocation, dominates the claim on every
-       atom; a joint-venue allocation is also nonnegative.
+    1. The hedge's terminal wealth per atom, from `gains.self_financing` on
+       the allocation, dominates the claim on every atom; a joint-venue
+       allocation is also nonnegative.
     2. q is nonnegative, orthogonal to every gain of `scope` and meets the
        budget row of every funded submarket: growth-weighted mass 1 for a
        single submarket, at most 1 for each submarket of the joint venue.
@@ -117,9 +113,7 @@ def _certify(model, h, scope, allocation, hedge, q) -> tuple[Num, Num]:
     exact = model.exact
     joint = scope == GLOBAL
     tol = tolerances(exact)
-    leaves = model.tree.leaves
-    wealth = terminal_value(model, allocation, hedge)
-    for k, a in enumerate(leaves):
+    for k, a in enumerate(model.tree.leaves):
         short = h[k] - wealth[a]
         if short > tol.feas * (1 + abs(h[k])):
             raise certificate_failure(exact, short, f"hedge misses the claim by {short} at {a!r}")
@@ -200,10 +194,11 @@ def _price_venue(model: MarketModel, h: tuple[Num, ...], scope: str, labels) -> 
     nb = len(basis)
     # + 0: a float -0.0 dual reports as 0.0
     allocation = {lab: y + 0 for lab, y in zip(labels, out.row_duals[nb:])}
-    hedge_risky = strategy_from_coefficients(model, basis, out.row_duals[:nb])
-    hedge = complete_self_financing(model, allocation, hedge_risky)
+    hedge, wealth = self_financing(
+        model, allocation, strategy_from_coefficients(model, basis, out.row_duals[:nb])
+    )
     q = out.x
-    dual_value, gap = _certify(model, h, scope, allocation, hedge, q)
+    dual_value, gap = _certify(model, h, scope, allocation, wealth, q)
     if joint:
         values = {a: v / model.tree.atom_probs[a] for a, v in zip(leaves, q)}
     else:
@@ -384,9 +379,7 @@ def one_dim_identity_suite(model: MarketModel, label: str, other: str) -> Identi
     s_bar = terminal_asset_claim(model, other)
     tree = model.tree
     swap = {a: s_t[a] - s_bar[a] for a in tree.leaves}
-    root = tree.path(tree.leaves[0])[0]
-    spot = model.submarket(label).assets[root][0]
-    spot_bar = model.submarket(other).assets[root][0]
+    spot = model.submarket(label).assets[tree.root][0]
     ratio = model.numeraire_ratio(label)
     ratio_bar = model.numeraire_ratio(other)
 

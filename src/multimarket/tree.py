@@ -20,7 +20,7 @@ from .errors import (
     ProbabilitySumMismatch,
     SchemaError,
 )
-from .numbers import Num, parse_scalar, tolerances
+from .numbers import Num, digit_limit, parse_scalar, past_digit_limit, tolerances
 
 ROOT_ID = "r"
 
@@ -51,7 +51,6 @@ class ScenarioTree:
     horizon: int
     exact: bool
     _atoms_under: Mapping[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
-    _paths: Mapping[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
 
     # -- queries ----------------------------------------------------------
 
@@ -67,9 +66,10 @@ class ScenarioTree:
     def atoms_under(self, node_id: str) -> tuple[str, ...]:
         return self._atoms_under[node_id]
 
-    def path(self, leaf_id: str) -> tuple[str, ...]:
-        """Root-to-leaf node sequence."""
-        return self._paths[leaf_id]
+    @property
+    def root(self) -> str:
+        """The first node: `nodes` is in time order."""
+        return next(iter(self.nodes))
 
     def node_prob(self, node_id: str) -> Num:
         return sum(self.atom_probs[a] for a in self.atoms_under(node_id))
@@ -133,6 +133,8 @@ def _check_atom_probs(atom_probs, atoms: int) -> None:
     elif not isinstance(atom_probs, Sequence) or isinstance(atom_probs, str):
         raise SchemaError(f"atom_probs must be a map or a list, got {atom_probs!r}")
     elif len(atom_probs) != atoms:
+        if past_digit_limit(atoms):
+            atoms = f"at least 10**{digit_limit()}"
         raise MalformedTopology(f"{len(atom_probs)} probabilities for {atoms} atoms")
 
 
@@ -197,13 +199,6 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
             a for c in node.children for a in atoms_under[c]
         )
 
-    paths: dict[str, tuple[str, ...]] = {}
-    for leaf in leaves:
-        path = [leaf]
-        while nodes[path[-1]].parent is not None:
-            path.append(nodes[path[-1]].parent)
-        paths[leaf] = tuple(reversed(path))
-
     return ScenarioTree(
         nodes=nodes,
         leaves=leaves,
@@ -211,5 +206,4 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
         horizon=horizon,
         exact=exact,
         _atoms_under=atoms_under,
-        _paths=paths,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from multimarket.arbitrage import GLOBAL, MeasureSelector, _require_positive, scope_basis
-from multimarket.errors import DimensionMismatch, NonPositiveWeight
+from multimarket.errors import NonPositiveWeight
 from multimarket.gains import SimpleStrategy, _positions
 from multimarket.lp import EQ, INFEASIBLE, lp, solve_lp
 from multimarket.market import MarketModel
@@ -24,8 +24,6 @@ from multimarket.pricing import price_fractional
 def strategy_wealth(model: MarketModel, strategy: SimpleStrategy) -> dict[str, Num]:
     """Terminal wealth per atom of a completed strategy, by direct valuation
     of the positions entering each leaf."""
-    if strategy.numeraire is None:
-        raise DimensionMismatch("strategy has no numeraire legs; complete it first")
     tree = model.tree
     out = {}
     for leaf in tree.leaves:
@@ -42,8 +40,6 @@ def strategy_wealth(model: MarketModel, strategy: SimpleStrategy) -> dict[str, N
 def self_financing_residuals(model: MarketModel, strategy: SimpleStrategy) -> dict[str, Num]:
     """Rebalancing-identity residual per (submarket, node); all zero for a
     self-financed strategy."""
-    if strategy.numeraire is None:
-        raise DimensionMismatch("strategy has no numeraire legs; complete it first")
     tree = model.tree
     out = {}
     for sub in model.submarkets:

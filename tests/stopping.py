@@ -15,8 +15,16 @@ from multimarket.errors import MalformedTopology
 from multimarket.tree import ScenarioTree
 
 
+def _path(tree: ScenarioTree, leaf_id: str) -> list[str]:
+    """Root-to-leaf node sequence, by a walk up the parents."""
+    path = [leaf_id]
+    while tree.node(path[-1]).parent is not None:
+        path.append(tree.node(path[-1]).parent)
+    return path[::-1]
+
+
 def node_on_path(tree: ScenarioTree, leaf_id: str, antichain: frozenset[str]) -> str:
-    for node_id in tree.path(leaf_id):
+    for node_id in _path(tree, leaf_id):
         if node_id in antichain:
             return node_id
     raise MalformedTopology(f"antichain misses atom {leaf_id!r}")
@@ -32,7 +40,7 @@ class StoppingTime:
         for node_id in self.antichain:
             tree.node(node_id)
         for leaf in tree.leaves:
-            hits = [n for n in tree.path(leaf) if n in self.antichain]
+            hits = [n for n in _path(tree, leaf) if n in self.antichain]
             if len(hits) != 1:
                 raise MalformedTopology(
                     f"antichain crosses atom {leaf!r} {len(hits)} times"
@@ -55,8 +63,7 @@ def _random_cut(tree: ScenarioTree, rng: random.Random, stop_within: frozenset[s
             for child in node.children:
                 walk(child)
 
-    root = tree.path(tree.leaves[0])[0]
-    walk(root)
+    walk(tree.root)
     return frozenset(chosen)
 
 
@@ -100,5 +107,4 @@ def enumerate_stopping_times(tree: ScenarioTree) -> list[frozenset[str]]:
             result.extend(partial)
         return result
 
-    root = tree.path(tree.leaves[0])[0]
-    return [frozenset(c) for c in cuts(root)]
+    return [frozenset(c) for c in cuts(tree.root)]

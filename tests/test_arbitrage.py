@@ -26,7 +26,7 @@ from multimarket.errors import (
     NonPositiveWeight,
     NumericBreakdown,
 )
-from multimarket.gains import strategy_cost, terminal_value
+from multimarket.gains import self_financing, strategy_cost
 from multimarket.generate import random_model
 from multimarket.market import Submarket, load_market, make_model, serialize_market
 from multimarket.numbers import FEAS_TOL, MEMBER_TOL
@@ -482,4 +482,4 @@ def test_stopping_time_orthogonality(m2):
 
 def test_witness_from_ray_matches_terminal_value(m1):
     _, witness = arbitrage_lp(m1)
-    assert dict(witness.payoff) == terminal_value(m1, {}, witness.strategy)
+    assert dict(witness.payoff) == self_financing(m1, {}, witness.strategy.risky)[1]

@@ -355,6 +355,10 @@ def _rated(doc, rate_structure):
         lambda doc: _rated(doc, {"base_rate": {"r": "0"}, "spreads": {"tau2": {"r": "0"}}}),
         lambda doc: {**doc, "rate_structure": 5},
         lambda doc: {**doc, "tree": {**doc["tree"], "branching": [10**12]}},
+        lambda doc: _first_asset(doc, "1e99999999", "rational"),
+        lambda doc: _first_asset(doc, "1e99999999", "float"),
+        lambda doc: _first_asset(doc, "1e5000", "rational"),
+        lambda doc: {**doc, "tree": {"branching": [10] * 5000, "atom_probs": ["1/2", "1/2"]}},
     ],
     ids=[
         "node-entry",
@@ -373,6 +377,10 @@ def _rated(doc, rate_structure):
         "spread-missing",
         "rate-structure-unused",
         "branching-huge",
+        "exponent-huge-rational",
+        "exponent-huge-float",
+        "digits-past-limit",
+        "leaf-count-past-limit",
     ],
 )
 def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):
@@ -543,3 +551,20 @@ def test_unparseable_fra_argument_exits_2():
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "SchemaError" in out.stderr
+
+
+def test_one_node_tree_prices_its_time_zero_claim(capsys, tmp_path):
+    # the root is the only atom: a hedge has no step and no numeraire leg
+    document = {
+        "tree": {"nodes": [{"id": "r", "parent": None}], "atom_probs": {"r": "1"}},
+        "submarkets": [{"label": "a", "dim": 1, "numeraire": {"r": "2"}, "assets": {"r": ["5"]}}],
+        "claims": [{"label": "H", "payoff": {"r": "3"}}],
+    }
+    path = tmp_path / "one-node.json"
+    path.write_text(json.dumps(document))
+    code, out = run_cli(capsys, "price", str(path), "--claim", "H")
+    assert code == 0
+    report = json.loads(out)
+    assert report["price"] == "3"
+    assert report["hedge"] == {"risky": {"a": {}}, "numeraire": {"a": {}}}
+    assert run_cli(capsys, "verify", str(path))[0] == 0

@@ -1,17 +1,12 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from crosschecks import in_span, self_financing_residuals, strategy_wealth
-from multimarket.errors import UnknownSubmarket
-from multimarket.gains import (
-    complete_self_financing,
-    elementary_gains,
-    global_gains,
-    strategy_cost,
-    terminal_value,
-)
+from multimarket.errors import DimensionMismatch, UnknownSubmarket
+from multimarket.gains import elementary_gains, global_gains, self_financing, strategy_cost
 from multimarket.generate import random_model
 from multimarket.market import Submarket, load_market, make_model, serialize_market
 from multimarket.numbers import to_row
@@ -61,67 +56,86 @@ def test_duplicated_submarket_does_not_grow_the_span(m2):
 
 
 def test_terminal_value_pure_numeraire(m2):
-    value = terminal_value(m2, {"tau1": F(2), "tau2": F(3)}, {})
+    value = self_financing(m2, {"tau1": F(2), "tau2": F(3)}, {})[1]
     ratio2 = m2.numeraire_ratio("tau2")
     for atom in m2.tree.leaves:
         assert value[atom] == F(2) + F(3) * ratio2[atom]
 
 
 def test_terminal_value_unit_position_is_the_gain(m2):
-    value = terminal_value(m2, {}, {"tau1": {"r": (F(1),)}})
+    value = self_financing(m2, {}, {"tau1": {"r": (F(1),)}})[1]
     assert value == {"r.0": F(2), "r.1": F(-1)}
 
 
 def test_terminal_value_of_desk_hedge(m2):
-    value = terminal_value(m2, {"tau2": F(15, 4)}, {"tau1": {"r": (F(3, 4),)}})
+    value = self_financing(m2, {"tau2": F(15, 4)}, {"tau1": {"r": (F(3, 4),)}})[1]
     assert value == {"r.0": F(6), "r.1": F(3)}
 
 
 def test_completion_matches_terminal_value_and_is_self_financing(m2):
     x = {"tau1": F(1), "tau2": F(2)}
     risky = {"tau1": {"r": (F(1, 2),)}, "tau2": {"r": (F(-1, 3),)}}
-    completed = complete_self_financing(m2, x, risky)
-    assert strategy_wealth(m2, completed) == terminal_value(m2, x, risky)
+    completed, wealth = self_financing(m2, x, risky)
+    assert strategy_wealth(m2, completed) == wealth
     assert strategy_cost(m2, completed) == x
     assert all(v == 0 for v in self_financing_residuals(m2, completed).values())
 
 
 def test_buy_and_hold_numeraire_amount(m2):
-    completed = complete_self_financing(m2, {"tau1": F(1), "tau2": F(1)}, {})
+    completed, _ = self_financing(m2, {"tau1": F(1), "tau2": F(1)}, {})
     assert completed.numeraire["tau1"]["r"] == F(1)
     assert completed.numeraire["tau2"]["r"] == F(1)
 
 
 def test_zero_cost_completion_example(m2):
-    completed = complete_self_financing(m2, {"tau1": F(4)}, {"tau1": {"r": (F(1),)}})
+    completed, _ = self_financing(m2, {"tau1": F(4)}, {"tau1": {"r": (F(1),)}})
     assert completed.numeraire["tau1"]["r"] == F(0)
     assert strategy_wealth(m2, completed) == {"r.0": F(6), "r.1": F(3)}
 
 
 def test_self_financing_on_random_multiperiod_models():
+    # 3 and 4 periods carry wealth and legs through interior nodes
     rng = random.Random(5)
-    for seed in range(6):
-        model = random_model(seed, atoms=4, periods=2, submarkets=2)
-        x = {lab: F(rng.randint(0, 5)) for lab in model.labels}
+    sizes = [dict(atoms=4, periods=2), dict(atoms=8, periods=3), dict(atoms=16, periods=4)]
+    depths = set()
+    for mode, size, seed in itertools.product(("rational", "float"), sizes, range(6)):
+        model = random_model(seed, submarkets=2, **size)
+        model = load_market({**serialize_market(model), "mode": mode})
+        depths.add(model.tree.horizon)
+        num = F if model.exact else float
+        x = {lab: num(rng.randint(0, 5)) for lab in model.labels}
         risky = {
             lab: {
-                n: tuple(F(rng.randint(-3, 3)) for _ in range(model.submarket(lab).dim))
+                n: tuple(num(rng.randint(-3, 3)) for _ in range(model.submarket(lab).dim))
                 for n in model.tree.nonterminal()
             }
             for lab in model.labels
         }
-        completed = complete_self_financing(model, x, risky)
-        assert strategy_wealth(model, completed) == terminal_value(model, x, risky)
-        assert strategy_cost(model, completed) == x
-        assert all(v == 0 for v in self_financing_residuals(model, completed).values())
+        completed, wealth = self_financing(model, x, risky)
+        tol = 0 if model.exact else 1e-9
+        residuals = self_financing_residuals(model, completed)
+        for got, want in [
+            (strategy_wealth(model, completed), wealth),
+            (strategy_cost(model, completed), x),
+            (residuals, dict.fromkeys(residuals, 0)),
+        ]:
+            assert got.keys() == want.keys()
+            for key in got:
+                assert abs(got[key] - want[key]) <= tol * (1 + abs(want[key])), (mode, size, seed, key)
+    assert depths == {2, 3, 4}
+
+
+def test_self_financing_rejects_a_position_vector_of_the_wrong_length(m2):
+    with pytest.raises(DimensionMismatch, match="2 positions for submarket 'tau1' of dim 1"):
+        self_financing(m2, {}, {"tau1": {"r": (F(1), F(2))}})
 
 
 def test_terminal_value_linear_in_wealth_and_positions(m2):
-    a = terminal_value(m2, {"tau1": F(1)}, {"tau1": {"r": (F(2),)}})
-    b = terminal_value(m2, {"tau2": F(3)}, {"tau2": {"r": (F(-1),)}})
-    combined = terminal_value(
+    a = self_financing(m2, {"tau1": F(1)}, {"tau1": {"r": (F(2),)}})[1]
+    b = self_financing(m2, {"tau2": F(3)}, {"tau2": {"r": (F(-1),)}})[1]
+    combined = self_financing(
         m2, {"tau1": F(1), "tau2": F(3)}, {"tau1": {"r": (F(2),)}, "tau2": {"r": (F(-1),)}}
-    )
+    )[1]
     for atom in m2.tree.leaves:
         assert combined[atom] == a[atom] + b[atom]
 
@@ -170,7 +184,7 @@ def test_gains_are_the_terminal_values_of_unit_one_step_strategies(mode):
             dims_seen.add(sub.dim)
             for g in elementary_gains(model, sub.label):
                 unit = tuple(1 if i == g.asset else 0 for i in range(sub.dim))
-                value = terminal_value(model, {}, {sub.label: {g.node: unit}})
+                value = self_financing(model, {}, {sub.label: {g.node: unit}})[1]
                 values = tuple(value[a] for a in model.tree.leaves)
                 assert g.payoff == values, (seed, g)
                 assert g.row == to_row(values, model.exact), (seed, g)

@@ -16,6 +16,7 @@ from multimarket.market import (
     tightest_bound,
     validate_model,
 )
+from multimarket.numbers import parse_scalar
 from multimarket.tree import build_tree
 
 
@@ -184,3 +185,23 @@ def test_float_mode_inference():
     model = load_market(doc)
     assert not model.exact
     assert isinstance(model.submarket("only").assets["r"][0], float)
+
+
+def test_parse_scalar_refuses_numbers_past_the_digit_limit():
+    # the interpreter's default limit is 4300 digits; an exponent past it is
+    # refused before `Fraction` expands it, in both modes
+    assert parse_scalar("1e4299") == 10**4299
+    assert parse_scalar("1e-4300", exact=False) == 0.0
+    for raw, exact in [
+        ("1e99999999", True),
+        ("1e99999999", False),
+        ("1e-99_999_999", True),
+        ("1e" + "9" * 5000, False),
+        ("1e4300", True),
+        ("1e-4300", True),
+        ("9" * 4300 + ".5", True),
+    ]:
+        with pytest.raises(SchemaError, match="has more than 4300 digits"):
+            parse_scalar(raw, exact)
+    with pytest.raises(SchemaError, match="overflows a float"):
+        parse_scalar("1e4300", exact=False)

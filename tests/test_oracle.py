@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -132,16 +133,8 @@ def _float_twin(model):
         for s in model.submarkets
     )
     tree = model.tree
-    from multimarket.tree import ScenarioTree
-
-    float_tree = ScenarioTree(
-        nodes=tree.nodes,
-        leaves=tree.leaves,
-        atom_probs={a: float(p) for a, p in tree.atom_probs.items()},
-        horizon=tree.horizon,
-        exact=False,
-        _atoms_under=tree._atoms_under,
-        _paths=tree._paths,
+    float_tree = replace(
+        tree, atom_probs={a: float(p) for a, p in tree.atom_probs.items()}, exact=False
     )
     return MarketModel(tree=float_tree, submarkets=subs)
 

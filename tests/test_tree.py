@@ -76,7 +76,7 @@ def test_node_probability_consistency(branching, salt):
     weights = [rng.randint(1, 9) for _ in range(leaves)]
     total = sum(weights)
     tree = build_tree(branching, [F(w, total) for w in weights])
-    assert tree.node_prob(tree.path(tree.leaves[0])[0]) == 1
+    assert tree.node_prob(tree.root) == 1
     for node_id in tree.nonterminal():
         children_mass = sum(tree.node_prob(c) for c in tree.children(node_id))
         assert tree.node_prob(node_id) == children_mass
