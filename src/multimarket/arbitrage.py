@@ -59,19 +59,12 @@ class DeflatorCertificate:
     basis_checked: tuple[GainAtom, ...]
 
     def verify(self, model: MarketModel) -> None:
-        tree = model.tree
         exact = model.exact
-        leaves = tree.leaves
-        for a in leaves:
+        for a in model.tree.leaves:
             if not self.xstar[a] > 0:
                 value = self.xstar[a]
                 raise certificate_failure(exact, value, f"deflator {value} not positive at atom {a!r}")
-        # w = P X* as one row: its sum is the mean, its dot product with a
-        # gain row the residual
-        pn, pd = atom_row(model, ("prob_row",), tree.atom_probs)
-        xn, xd = to_row([self.xstar[a] for a in leaves], exact)
-        w = [p * x for p, x in zip(pn, xn)]
-        den = pd * xd
+        w, den = deflator_row(model, self.xstar)
         total = sum(w)
         if abs(total - den) > tolerances(exact).feas:
             mean = from_row(total, den, exact)
@@ -153,6 +146,19 @@ def atom_row(model: MarketModel, key: tuple, values: Mapping[str, Num]):
     """`values` over the atoms as a row of `to_row`, computed once per model
     and kept in the memo under `key`."""
     return model._memoized(key, lambda: to_row([values[a] for a in model.tree.leaves], model.exact))
+
+
+def deflator_row(model: MarketModel, xstar: Mapping[str, Num]):
+    """w = P∘X* as one row of `to_row`: its sum is the mean of X*, its dot
+    product with a gain row the residual.  The last row built is kept in the
+    memo beside a copy of the X* it came from, so every submarket
+    certificate taken from the common deflator reuses the global one's."""
+    held = model._memo.get(("deflator_row",))
+    if held is None or held[0] != xstar:
+        pn, pd = atom_row(model, ("prob_row",), model.tree.atom_probs)
+        xn, xd = to_row([xstar[a] for a in model.tree.leaves], model.exact)
+        held = model._memo[("deflator_row",)] = (dict(xstar), [p * x for p, x in zip(pn, xn)], pd * xd)
+    return held[1], held[2]
 
 
 def check_orthogonal(model: MarketModel, basis, qn, qd, what: str) -> None:

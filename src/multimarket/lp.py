@@ -1,12 +1,15 @@
 """Deterministic linear programming with verified certificates.
 
-A two-phase tableau simplex under Bland's smallest-index rule, run either
-exactly (reference mode, zero tolerance) or over floats with explicit
-tolerances.  In exact mode every row is kept as Python-int numerators over
-one positive denominator, in lowest terms, and pivots fraction-free
-(Edmonds; Bareiss): Fractions are built only for the values a solve returns.
-Pivots update only the nonzero columns of the pivot row.  Bland's rule sees
-the same exact values as over Fractions, so the pivot path is the same.
+A two-phase tableau simplex, run either exactly (reference mode, zero
+tolerance) or over floats with explicit tolerances.  The column with the
+most negative reduced cost enters (Dantzig); after a run of degenerate
+pivots Bland's smallest-index rule takes over until one makes progress, so
+the simplex cannot cycle.  In exact mode every row is kept as Python-int
+numerators over one positive denominator, in lowest terms, and pivots
+fraction-free (Edmonds; Bareiss): Fractions are built only for the values a
+solve returns.  Pivots update only the nonzero columns of the pivot row.
+The pivot rules see the same exact values as over Fractions, so the pivot
+path is the same.
 A LinearProgram carries its own numeric mode and holds its rows in the row
 format of `numbers.to_row`: `lp` casts plain values into it, while the
 deflator and cone LPs build theirs from the rows each gain carries and the
@@ -37,6 +40,9 @@ LE, EQ, GE = "<=", "==", ">="
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 _MAX_PIVOTS = 20000
+
+# degenerate pivots in a row after which Bland's rule enters, until progress
+_DEGENERATE_RUN = 50
 
 
 @dataclass(frozen=True)
@@ -258,20 +264,12 @@ class _Tableau:
             cost_den[0] = _eliminate(cost, cost_den[0], nz, pc, pden, exact)
         self.basis[pr] = pc
 
-    def _bland_step(self, cost: list, cost_den: list, allowed: int) -> int | str:
-        """One Bland pivot on columns [0, allowed): returns 'optimal',
-        'pivoted', or the entering column index when unbounded."""
+    def _leaving_row(self, enter: int) -> int:
+        """The row that leaves when column ``enter`` enters, or -1 when no
+        row bounds it: min ratio b/a over a > 0, ties to the smaller basic
+        index.  A row's denominator cancels from its ratio, so exact mode
+        compares numerator cross-products."""
         tol = self.tol
-        enter = -1
-        for j in range(allowed):
-            if cost[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        # min ratio b/a over a > 0, ties to the smaller basic index; a row's
-        # denominator cancels from its ratio, so exact mode compares
-        # numerator cross-products
         leave, lead_b, lead_a = -1, None, None
         for i, row in enumerate(self.rows):
             a = row[enter]
@@ -286,20 +284,35 @@ class _Tableau:
                 if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[leave]):
                     continue
             leave, lead_b, lead_a = i, b, a
-        if leave < 0:
-            return enter
-        self._pivot(cost, cost_den, leave, enter)
-        return "pivoted"
+        return leave
 
     def _optimize(self, cost: list, cost_den: list) -> int | None:
-        """Bland pivots on the real columns until optimal (None) or until a
-        column enters with no leaving row (returned)."""
+        """Pivots on the real columns until optimal (None) or until a column
+        enters with no leaving row (returned).
+
+        Dantzig's rule enters the most negative reduced cost, ties to the
+        smaller index; the cost row's numerators share one denominator, so
+        exact mode compares integers.  After ``_DEGENERATE_RUN`` degenerate
+        pivots in a row (the leaving row's b is zero, or within the float
+        tolerance) Bland's rule enters the first negative one until a pivot
+        makes progress: a cycle pivots only degenerately, and Bland's rule
+        cannot cycle."""
+        tol, n = self.tol, self.n_real
+        run = 0
         while True:
-            step = self._bland_step(cost, cost_den, self.n_real)
-            if step == "optimal":
+            if run < _DEGENERATE_RUN:
+                reduced = cost[:n]
+                low = min(reduced, default=0)
+                enter = reduced.index(low) if low < -tol else -1
+            else:
+                enter = next((j for j in range(n) if cost[j] < -tol), -1)
+            if enter < 0:
                 return None
-            if step != "pivoted":
-                return step
+            leave = self._leaving_row(enter)
+            if leave < 0:
+                return enter
+            run = run + 1 if abs(self.rows[leave][-1]) <= tol else 0
+            self._pivot(cost, cost_den, leave, enter)
 
     def phase1(self) -> Num:
         """Install a basic feasible solution; returns the artificial residue."""

@@ -45,12 +45,13 @@ class MarketModel:
     it as read-only, so it is safe to share across threads.
 
     `_memo` holds only facts derived from the fields above: numeraire
-    ratios, discounted prices, gain bases, NFL results per scope and venue
-    prices, each computed on first use and kept for the life of this object
-    (two threads may both compute a fact on first use; either equal result
-    is kept).  It takes no part in equality, hashing or repr, and
-    `dataclasses.replace` gives the new model an empty one.  A value taken
-    from it is shared by every caller, so callers never mutate one.
+    ratios, discounted prices, gain bases, NFL results per scope, the
+    weighted row of the last deflator checked and venue prices, each
+    computed on first use and kept for the life of this object (two threads
+    may both compute a fact on first use; either equal result is kept).  It
+    takes no part in equality, hashing or repr, and `dataclasses.replace`
+    gives the new model an empty one.  A value taken from it is shared by
+    every caller, so callers never mutate one.
     """
 
     tree: ScenarioTree

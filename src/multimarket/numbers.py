@@ -97,8 +97,13 @@ def past_digit_limit(n: int) -> bool:
 
 def scalar_to_json(value: Num):
     """JSON encoding: Fractions as 'p/q' (or 'n') strings, floats rounded
-    to 12 significant digits."""
+    to 12 significant digits.  A computed Fraction whose numerator or
+    denominator Python could not print (`past_digit_limit`) raises
+    SchemaError: the document's numbers, each within the limit, combine
+    past it."""
     if isinstance(value, Fraction):
+        if past_digit_limit(value.numerator) or past_digit_limit(value.denominator):
+            raise SchemaError(f"a computed number has more than {digit_limit()} digits")
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"

@@ -322,6 +322,18 @@ def _first_asset(doc, value, mode):
     return {**doc, "mode": mode, "submarkets": [first, *doc["submarkets"][1:]]}
 
 
+def _quotient_past_limit(doc):
+    # asset and numeraire each within the digit limit at r.0, the discounted
+    # price 10**8000 past it
+    first = doc["submarkets"][0]
+    first = {
+        **first,
+        "assets": {**first["assets"], "r.0": ["1e4000"]},
+        "numeraire": {**first["numeraire"], "r.0": "1e-4000"},
+    }
+    return {**doc, "submarkets": [first, *doc["submarkets"][1:]]}
+
+
 def _listed_nodes(doc, *extra):
     # m2's tree as a node listing, plus the (id, parent) pairs `extra`
     pairs = [("r", None), ("r.0", "r"), ("r.1", "r"), *extra]
@@ -359,6 +371,7 @@ def _rated(doc, rate_structure):
         lambda doc: _first_asset(doc, "1e99999999", "float"),
         lambda doc: _first_asset(doc, "1e5000", "rational"),
         lambda doc: {**doc, "tree": {"branching": [10] * 5000, "atom_probs": ["1/2", "1/2"]}},
+        _quotient_past_limit,
     ],
     ids=[
         "node-entry",
@@ -381,6 +394,7 @@ def _rated(doc, rate_structure):
         "exponent-huge-float",
         "digits-past-limit",
         "leaf-count-past-limit",
+        "quotient-past-limit",
     ],
 )
 def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):
@@ -390,6 +404,18 @@ def test_malformed_document_exits_2(capsys, m2_path, tmp_path, command, defect):
     bad.write_text(json.dumps(defect(document)))
     code, _ = run_cli(capsys, command, str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "arb"])
+def test_computed_number_past_the_digit_limit_exits_2_in_one_line(m2_path, tmp_path, command):
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_quotient_past_limit(document)))
+    out = _run_cli(command, str(bad))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "SchemaError: a computed number has more than 4300 digits\n"
 
 
 def test_zero_rates_give_m2_its_outputs(capsys, m2_path, tmp_path):
@@ -504,7 +530,7 @@ def test_cli_import_leaves_multicurve_unloaded():
 
 # SHA-256 of each `verify` exit code and stdout, over seeded random models
 # with one claim, in both modes: any changed report byte changes it.
-VERIFY_REPORT_DIGEST = "ba6fd387e1bdd2a274679674a693988e8edb5810bf114ecdd035cd5497f7496b"
+VERIFY_REPORT_DIGEST = "1a749488332ea0c034b316daca4b3a5abcb4b103512431fadd944cdb948bc314"
 
 
 def test_verify_report_digest(capsys, tmp_path):

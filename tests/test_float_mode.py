@@ -1,13 +1,16 @@
 """Float-mode twin of the desk pipeline: same answers within tolerance."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from crosschecks import fractional_reciprocal
-from multimarket.arbitrage import check_global_nfl, martingale_measure
+from multimarket.arbitrage import arbitrage_lp, check_global_nfl, martingale_measure
 from multimarket.errors import NonPositiveWeight
-from multimarket.market import Submarket, load_market, make_model
+from multimarket.generate import random_claim, random_model
+from multimarket.market import Submarket, load_market, make_model, serialize_market
+from multimarket.numbers import GAP_TOL
 from multimarket.pricing import (
     dual_bounds_global,
     price_global,
@@ -71,3 +74,30 @@ def test_reciprocal_requires_positive_claim(m2):
         fractional_reciprocal(
             m2, {"r.0": F(1), "r.1": F(0)}, m2.numeraire_ratio("tau2")
         )
+
+
+def _as_float(model, claim=None):
+    document = serialize_market(model)
+    if claim is not None:
+        document["claims"] = [{"label": "H", "payoff": {a: str(v) for a, v in claim.items()}}]
+    return load_market({**document, "mode": "float"})
+
+
+# Three float solves that drifted under Bland's first-improving entering
+# rule and ended in NumericBreakdown; the most-negative rule finishes them.
+def test_float_global_price_of_the_seed_78_model_matches_exact_mode():
+    model = random_model(78, atoms=36, periods=2, submarkets=3, dims=[1, 1, 1])
+    claim = random_claim(random.Random(78), model)
+    exact = float(price_global(model, claim).price)
+    floating = _as_float(model, claim)
+    price = price_global(floating, floating.claim("H").payoff).price
+    assert abs(price - exact) <= GAP_TOL * (1 + abs(exact))
+
+
+def test_float_direct_arbitrage_lp_on_a_deep_tree_returns_zero():
+    value, witness = arbitrage_lp(_as_float(random_model(16, atoms=16, periods=4)))
+    assert (value, witness) == (0, None)
+
+
+def test_float_global_check_on_a_wide_model_passes():
+    assert check_global_nfl(_as_float(random_model(0, atoms=64, periods=2, submarkets=3))).ok

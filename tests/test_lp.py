@@ -222,13 +222,50 @@ def test_exact_pivots_keep_integer_rows_in_lowest_terms(monkeypatch):
     assert states and all(states)
 
 
+def _beale(exact):
+    # Beale's example (1955): Dantzig's rule, leaving ties to the smaller
+    # basic index, returns to its first basis after six degenerate pivots
+    cast = F if exact else float
+    rows = [([F(1, 4), -8, -1, 9], LE, 0), ([F(1, 2), -12, F(-1, 2), 3], LE, 0), ([0, 0, 1, 0], LE, 1)]
+    objective = [F(-3, 4), 20, F(-1, 2), 6]
+    return lp(
+        "min",
+        [cast(v) for v in objective],
+        [([cast(v) for v in r], rel, cast(b)) for r, rel, b in rows],
+        exact=exact,
+    )
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_bland_fallback_breaks_a_dantzig_cycle(monkeypatch, exact):
+    original = lp_module._Tableau._pivot
+    entered = []  # (entering column, most negative reduced cost's column)
+
+    def recorded(self, cost, cost_den, pr, pc):
+        if cost is not None:
+            entered.append((pc, min(range(self.n_real), key=cost.__getitem__)))
+        original(self, cost, cost_den, pr, pc)
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", recorded)
+    out = solve_lp(_beale(exact))
+    assert out.status == OPTIMAL
+    assert out.value == F(-5, 4) if exact else out.value == pytest.approx(-1.25)
+    assert lp_module._DEGENERATE_RUN < len(entered) < 2 * lp_module._DEGENERATE_RUN
+    # Bland's rule entered a column other than Dantzig's
+    assert any(pc != best for pc, best in entered)
+    # without the fallback the same program cycles to the pivot limit
+    monkeypatch.setattr(lp_module, "_DEGENERATE_RUN", lp_module._MAX_PIVOTS + 1)
+    with pytest.raises(NumericBreakdown, match="pivot limit exceeded"):
+        solve_lp(_beale(exact))
+
+
 # SHA-256 of repr(LpOutcome), in call order, over every solve made below, in
 # both numeric modes. A different digest means a pivot path or an output
 # changed. `price_global` reuses the model's global NFL result from the
 # `check_global_nfl` call before it, so its deflator LP is not solved again;
 # where that result passed, each `price_submarket` takes its submarket
 # certificate from the common deflator and solves only its venue LP.
-OUTCOME_DIGEST = "56aaaa3688e9dffb49c54a556a72a57cc711be00babcf32342d6c62332452078"
+OUTCOME_DIGEST = "885b0d7f3d507724afef888e1dfeded93cc11e9259af6ea8e6c5cd6153bb6866"
 
 
 def test_outcome_digest(monkeypatch):
@@ -269,7 +306,7 @@ def test_outcome_digest(monkeypatch):
 
 # The same pin over seeded random programs in both modes: every status,
 # nonnegative and free variables, and coefficients with small denominators.
-PROGRAM_DIGEST = "52fc9fa65bfae1f013e125cc0baff4d4b8850915647740b289fb60fcd68f962d"
+PROGRAM_DIGEST = "1238512339802720b3e8e9e3d21d2c2566a4e8d4f24bcaf9b185be4d0d1c8b3f"
 
 
 def test_random_program_digest():
