@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .generate import random_model
-from .market import MarketModel, load_market, serialize_market, tightest_bound, walk_document
+from .market import MarketModel, load_market, serialize_market, tightest_bound
 from .numbers import format_sig12, parse_scalar, scalar_to_json, tolerances
 from .pricing import (
     dual_bounds_global,
@@ -77,16 +77,8 @@ def _read_document(path: str) -> dict:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _market(document) -> MarketModel:
-    """`load_market` under one nesting limit for every document: it walks
-    a document only to infer its mode, so one that names it is walked here."""
-    if isinstance(document, dict) and document.get("mode"):
-        walk_document(document)
-    return load_market(document)
-
-
 def _load(path: str) -> MarketModel:
-    return _market(_read_document(path))
+    return load_market(_read_document(path))
 
 
 def _strategy_payload(strategy):
@@ -148,7 +140,7 @@ def cmd_validate(args) -> int:
         _emit({"ok": False, "issues": [{"code": "Unreadable", "detail": str(exc)}]})
         return EXIT_VALIDATION
     try:
-        model = _market(document)
+        model = load_market(document)
     except MarketError as exc:
         _emit({"ok": False, "issues": [{"code": type(exc).__name__, "detail": str(exc)}]})
         return EXIT_VALIDATION
@@ -217,7 +209,7 @@ def cmd_price(args) -> int:
     document = _read_document(args.spec)
     if args.mode and isinstance(document, dict):
         document = {**document, "mode": args.mode}
-    model = _market(document)
+    model = load_market(document)
     claim = model.claim(args.claim).payoff
     venue = args.venue
     if venue == "global":
@@ -352,7 +344,7 @@ def cmd_demo_cotrade(args) -> int:
     from .multicurve import ZcQuote, cotrade_arbitrage_demo
 
     document = _read_document(args.spec)
-    model = _market(document)
+    model = load_market(document)
     quotes_doc = document.get("zc_quotes")
     quotes = quotes_doc.get("quotes") if isinstance(quotes_doc, dict) else None
     if not (

@@ -21,6 +21,11 @@ class ProbabilitySumMismatch(MarketError):
     pass
 
 
+class SizeLimitExceeded(MarketError):
+    """A document asks for more than a documented size limit allows; raised
+    before anything of that size is built."""
+
+
 # --- market model --------------------------------------------------------
 
 class SchemaError(MarketError):

@@ -214,19 +214,24 @@ _MAX_DEPTH = 100  # no section of the schema nests more than a few levels
 def walk_document(document) -> bool:
     """Does any value of the document hold a JSON float?  Walks every value
     without recursion; nesting deeper than `_MAX_DEPTH` raises SchemaError.
-    `load_market` walks a document only to infer its mode."""
+    `load_market` walks every document, so one nesting limit holds whether
+    or not the document names its mode."""
     found = False
-    stack = [(document, 0)]
+    # (the values of a container, the container's depth); the document sits
+    # at depth 0.  Only containers are stacked, and strings, the most
+    # common value, are passed over first.
+    stack = [((document,), -1)]
     while stack:
-        obj, depth = stack.pop()
-        if isinstance(obj, Mapping):
-            obj = obj.values()
-        elif not isinstance(obj, (list, tuple)):
-            found = found or isinstance(obj, float)
-            continue
-        if depth == _MAX_DEPTH:
-            raise SchemaError(f"document nested deeper than {_MAX_DEPTH} levels")
-        stack += [(v, depth + 1) for v in obj]
+        values, depth = stack.pop()
+        for value in values:
+            if isinstance(value, str):
+                continue
+            if isinstance(value, float):
+                found = True
+            elif isinstance(value, (dict, list, tuple, Mapping)):  # dict: no ABC check
+                if depth + 1 == _MAX_DEPTH:
+                    raise SchemaError(f"document nested deeper than {_MAX_DEPTH} levels")
+                stack.append((value.values() if isinstance(value, Mapping) else value, depth + 1))
     return found
 
 
@@ -234,10 +239,11 @@ def load_market(document: Mapping) -> MarketModel:
     """Parse and validate a market-spec document (already JSON-decoded)."""
     if not isinstance(document, Mapping):
         raise SchemaError("document must be a mapping")
+    has_floats = walk_document(document)
     mode = document.get("mode")
     if mode not in (None, "rational", "float"):
         raise SchemaError(f"unknown mode {mode!r}")
-    exact = (mode != "float") if mode else not walk_document(document)
+    exact = (mode != "float") if mode else not has_floats
 
     tree_spec = document.get("tree")
     if not isinstance(tree_spec, Mapping):

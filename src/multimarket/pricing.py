@@ -155,14 +155,10 @@ def price_submarket(model: MarketModel, claim, label: str) -> PriceReport:
     the venue LP of `_price_venue` with one budget row, an equality, since
     the submarket's initial capital may have either sign.  Its optimum is
     the supremum over the submarket's measure set, and the witness is
-    reported as the attaining measure.  Computed once per model, submarket
-    and payoff vector.
+    reported as the attaining measure.
     """
     _require_submarket_nfl(model, label)
-    h = _payoff_vector(model, claim)
-    return model._memoized(
-        ("price_submarket", label, h), lambda: _price_venue(model, h, label, (label,))
-    )
+    return _price_venue(model, _payoff_vector(model, claim), label, (label,))
 
 
 def _cone_lp(model: MarketModel, h, scope: str, budgets, sense: str):
@@ -182,7 +178,14 @@ def _price_venue(model: MarketModel, h: tuple[Num, ...], scope: str, labels) -> 
     NFL check makes it feasible and bounded.  Its row duals are the hedge:
     the budget rows' duals are the allocation and the gain rows' duals the
     gain coefficients.  `_certify` checks both sides on the LP's own q.
+    Computed once per model, scope, funded labels and payoff vector.
     """
+    return model._memoized(
+        ("price_venue", scope, labels, h), lambda: _venue_report(model, h, scope, labels)
+    )
+
+
+def _venue_report(model: MarketModel, h: tuple[Num, ...], scope: str, labels) -> PriceReport:
     leaves = model.tree.leaves
     joint = scope == GLOBAL
     basis = scope_basis(model, scope)
@@ -249,14 +252,10 @@ def price_global(model: MarketModel, claim) -> PriceReport:
 
     The venue LP of `_price_venue` with one budget row per submarket, each
     an inequality, since each allocation is nonnegative; the witness is
-    reported as the deflator direction X = q/P.  Computed once per model and
-    payoff vector.
+    reported as the deflator direction X = q/P.
     """
     _require_global_nfl(model)
-    h = _payoff_vector(model, claim)
-    return model._memoized(
-        ("price_global", h), lambda: _price_venue(model, h, GLOBAL, model.labels)
-    )
+    return _price_venue(model, _payoff_vector(model, claim), GLOBAL, model.labels)
 
 
 def price_fractional(

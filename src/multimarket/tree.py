@@ -19,10 +19,14 @@ from .errors import (
     NonPositiveProbability,
     ProbabilitySumMismatch,
     SchemaError,
+    SizeLimitExceeded,
 )
 from .numbers import Num, digit_limit, parse_scalar, past_digit_limit, tolerances
 
 ROOT_ID = "r"
+# a node id of `branching` grows with its depth, so the ids of a deep tree
+# take the square of its depth in characters: more than this is refused
+MAX_ID_CHARS = 2**23
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,25 @@ def _check_atom_probs(atom_probs, atoms: int) -> None:
         raise MalformedTopology(f"{len(atom_probs)} probabilities for {atoms} atoms")
 
 
+def _id_chars(branching: Sequence[int]) -> int:
+    """The total length of the node ids that `_branching_nodes` builds for
+    these counts, from the counts alone: a child's id is its parent's id, a
+    dot and its index."""
+    nodes = 1
+    total = chars = len(ROOT_ID)
+    for count in branching:
+        # the digits of the indices 0..count-1: one each, one more per power
+        # of ten that an index reaches
+        digits, power = count, 10
+        while power < count:
+            digits += count - power
+            power *= 10
+        chars = count * chars + nodes * (count + digits)
+        nodes *= count
+        total += chars
+    return total
+
+
 def _branching_nodes(branching: Sequence[int]) -> dict[str, Node]:
     """Nodes of per-level branching counts: the (id, parent) listing,
     level by level, built as an explicit listing."""
@@ -166,6 +189,11 @@ def build_tree(branching_spec, atom_probs, exact: bool | None = None) -> Scenari
         # the leaf count is known before any node is built, so a count far
         # beyond the probabilities given fails here, not out of memory
         _check_atom_probs(atom_probs, prod(branching_spec))
+        chars = _id_chars(branching_spec)
+        if chars > MAX_ID_CHARS:
+            raise SizeLimitExceeded(
+                f"branching would build {chars} characters of node ids, more than {MAX_ID_CHARS}"
+            )
         nodes = _branching_nodes(branching_spec)
 
     leaves = tuple(n for n in nodes if not nodes[n].children)

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import FIXTURES
 from multimarket.cli import main
 from multimarket.errors import CertificateViolation, NumericBreakdown
 from multimarket.generate import random_claim, random_model
@@ -276,6 +277,75 @@ def test_certificate_checks_survive_optimize_flag(m2_path):
     assert out.stdout == "debug False raised\n", out.stderr
 
 
+def _fixture(name, **fields):
+    with open(os.path.join(FIXTURES, f"{name}.json")) as handle:
+        return {**json.load(handle), **fields}
+
+
+def _claimed(model, claim, **fields):
+    payoff = {a: str(v) for a, v in claim.items()}
+    return {**serialize_market(model), "claims": [{"label": "H", "payoff": payoff}], **fields}
+
+
+def _three_period():
+    # hedges carry legs and wealth through interior nodes
+    model = random_model(0, atoms=8, periods=3, submarkets=2)
+    return _claimed(model, random_claim(random.Random(0), model))
+
+
+def _seed_78_float():
+    # the joint price whose float LP broke down under the first-improving
+    # entering rule
+    model = random_model(78, atoms=36, periods=2, submarkets=3, dims=[1, 1, 1])
+    return _claimed(model, random_claim(random.Random(78), model), mode="float")
+
+
+def _deep_float():
+    # a deep tree whose float arbitrage LP broke down under the same rule
+    return {**serialize_market(random_model(16, atoms=16, periods=4)), "mode": "float"}
+
+
+def _price(name, document, claim, venue, mode):
+    argv = ["price", "--claim", claim, "--venue", venue, "--mode", mode]
+    return pytest.param(argv, document, 0, id=f"price-{name}-{venue}-{mode}")
+
+
+@pytest.mark.parametrize(
+    "argv, document, want",
+    [
+        pytest.param(["verify"], lambda: _fixture("cotrade"), 0, id="verify-cotrade"),
+        pytest.param(["arb"], lambda: _fixture("cotrade"), 0, id="arb-cotrade"),
+        pytest.param(["deflator"], lambda: _fixture("cotrade"), 0, id="deflator-cotrade"),
+        # m1's deflator LP is infeasible: its Farkas check runs on float rows
+        pytest.param(["arb"], lambda: _fixture("m1", mode="float"), 3, id="arb-m1-float"),
+        _price("m2", lambda: _fixture("m2"), "Stau1", "lower", "rational"),
+        _price("m2", lambda: _fixture("m2"), "Stau1", "upper", "float"),
+        _price("m2", lambda: _fixture("m2"), "Stau1", "submarket:tau1", "rational"),
+        _price("m2", lambda: _fixture("m2"), "Stau1", "submarket:tau1", "float"),
+        _price("m2", lambda: _fixture("m2"), "Stau1", "submarket:tau2", "rational"),
+        _price("m2", lambda: _fixture("m2"), "Stau1", "submarket:tau2", "float"),
+        pytest.param(["validate"], lambda: _fixture("m1"), 0, id="validate-m1"),
+        pytest.param(["validate"], lambda: _fixture("cotrade"), 0, id="validate-cotrade"),
+        # a declared bound below m2's tightest bound 6
+        pytest.param(["validate"], lambda: _fixture("m2", bound_constant="5"), 2, id="validate-m2-bound-5"),
+        _price("three-period", _three_period, "H", "global", "rational"),
+        _price("three-period", _three_period, "H", "global", "float"),
+        _price("three-period", _three_period, "H", "lower", "rational"),
+        _price("three-period", _three_period, "H", "lower", "float"),
+        pytest.param(["price", "--claim", "H", "--venue", "global"], _seed_78_float, 0, id="price-seed-78-float"),
+        pytest.param(["arb"], _deep_float, 0, id="arb-deep-tree-float"),
+    ],
+)
+def test_command_exits_with_its_documented_code(capsys, tmp_path, argv, document, want):
+    # every certificate check on these paths raises rather than asserts, so
+    # the same codes hold under `python -O` (see test_tolerances)
+    spec = tmp_path / "document.json"
+    spec.write_text(json.dumps(document()))
+    command, *options = argv
+    code, _ = run_cli(capsys, command, str(spec), *options)
+    assert code == want
+
+
 def _run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "multimarket.cli", *argv],
@@ -497,6 +567,26 @@ def test_demo_cotrade_malformed_quotes_exit_2(cotrade_path, tmp_path, zc_quotes)
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "SchemaError" in out.stderr
+
+
+def test_node_ids_past_the_size_limit_exit_2_before_any_node_is_built(capsys, monkeypatch, m2_path, tmp_path):
+    # a node id grows with its depth: 5,001 levels would build about 25
+    # million characters of ids from a document of 15 KB
+    def built(spec):
+        raise AssertionError("a node was built")
+
+    monkeypatch.setattr("multimarket.tree._explicit_nodes", built)
+    with open(m2_path) as handle:
+        document = json.load(handle)
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps({**document, "tree": {**document["tree"], "branching": [1] * 5000 + [2]}}))
+    code = main(["arb", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "SizeLimitExceeded: branching would build 25030007 characters of node ids, more than 8388608\n"
+    )
 
 
 def test_chain_deeper_than_the_recursion_limit_validates(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from multimarket.errors import NonPositiveNumeraire, SchemaError, UnknownSubmarket
 from multimarket.market import (
+    _MAX_DEPTH,
     MarketModel,
     Submarket,
     discounted_prices,
@@ -205,3 +206,16 @@ def test_parse_scalar_refuses_numbers_past_the_digit_limit():
             parse_scalar(raw, exact)
     with pytest.raises(SchemaError, match="overflows a float"):
         parse_scalar("1e4300", exact=False)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_load_market_walks_a_document_that_names_its_mode(m2_path, mode):
+    # an unused section nested past the limit is refused as it is when the
+    # mode is inferred
+    with open(m2_path) as fh:
+        document = {**json.load(fh), "mode": mode}
+    nested = "1"
+    for _ in range(_MAX_DEPTH + 1):
+        nested = [nested]
+    with pytest.raises(SchemaError, match="nested deeper than"):
+        load_market({**document, "zc_quotes": nested})

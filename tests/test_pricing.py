@@ -186,6 +186,24 @@ def test_each_price_solves_one_lp_after_its_nfl_check(monkeypatch):
             assert len(calls) == 1, (seed, label)
 
 
+def test_verify_m2_solves_35_lps(monkeypatch, capsys, m2_path):
+    # one deflator LP, and each venue LP once per scope, funded labels and
+    # payoff: the concentrated-funding LP that `price_constant_ratio` solves
+    # for every label of m2 is the same LP both times
+    calls = []
+    solve = lp_module.solve_lp
+
+    def counted(prog):
+        calls.append(prog)
+        return solve(prog)
+
+    for module in (arbitrage, pricing):
+        monkeypatch.setattr(module, "solve_lp", counted)
+    assert cli.main(["verify", m2_path]) == 0
+    capsys.readouterr()
+    assert len(calls) == 35
+
+
 def test_memo_lives_exactly_as_long_as_its_model(m2_path):
     with open(m2_path) as handle:
         document = json.load(handle)

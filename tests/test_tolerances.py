@@ -13,6 +13,20 @@ OWNERS = {"numbers.py"}
 TOLERANCE_NAMES = {"FEAS_TOL", "MEMBER_TOL", "GAP_TOL", "ZERO_TOL"}
 
 
+def test_no_module_asserts_or_reads_debug():
+    # `python -O` strips `assert` statements and sets `__debug__` to False:
+    # with neither in the package, every certificate check runs under -O
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            debug = "__debug__" in (getattr(node, "id", None), getattr(node, "attr", None))
+            if isinstance(node, ast.Assert) or debug:
+                found.append(f"{os.path.basename(path)}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_float_tolerances_are_the_documented_table():
     assert (numbers.FEAS_TOL, numbers.MEMBER_TOL, numbers.GAP_TOL, numbers.ZERO_TOL) == (
         1e-9,

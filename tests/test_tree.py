@@ -9,7 +9,7 @@ from multimarket.errors import (
     NonPositiveProbability,
     ProbabilitySumMismatch,
 )
-from multimarket.tree import build_tree
+from multimarket.tree import _branching_nodes, _id_chars, build_tree
 from stopping import (
     StoppingTime,
     enumerate_stopping_times,
@@ -52,6 +52,11 @@ def test_explicit_nodes_and_malformed():
         build_tree([("a", None), ("b", "a"), ("c", "b")], {"b": "1/2", "c": "1/2"})
     with pytest.raises(MalformedTopology):
         build_tree([("a", None), ("b", None)], {"a": "1/2", "b": "1/2"})
+
+
+@pytest.mark.parametrize("branching", [[2], [10], [11], [3, 2], [1] * 40, [101, 2], [12, 1, 3], [1000]])
+def test_id_chars_counts_the_ids_that_branching_builds(branching):
+    assert _id_chars(branching) == sum(map(len, _branching_nodes(branching)))
 
 
 def test_build_is_deterministic():
